@@ -2,12 +2,12 @@
 # the push/PR workflow (.github/workflows/ci.yml) enforces — including
 # the bench-smoke/bench-gate job via `ci-bench` — and `make nightly`
 # runs the scheduled slow-path gates of nightly.yml (full non-short
-# suite, hyperscale benchmark, manifest determinism check).
+# suite, hyperscale benchmark, manifest determinism check, fuzz smoke).
 
 GO ?= go
 
 .PHONY: build test test-short test-race-subsys cover-check bench bench-quick bench-gate \
-	bench-baseline bench-hyperscale manifest-check vet fmt-check ci ci-bench nightly
+	bench-baseline bench-hyperscale manifest-check fuzz-smoke vet fmt-check ci ci-bench nightly
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,8 @@ test-short:
 
 # Race-detected pass over the invariant checkers, the workload
 # subsystem (trace parsing, generators), the cluster index property
-# tests, and the sharded-engine order/barrier/mailbox properties — fast
-# enough for the check gate, where the full -race suite is not.
+# tests, and the event-engine order properties — fast enough for the
+# check gate, where the full -race suite is not.
 test-race-subsys:
 	$(GO) test -race ./internal/sim/... ./internal/simtest/... ./internal/workload/... ./internal/cluster/...
 
@@ -59,12 +59,7 @@ bench-quick:
 # PINNED_BENCHMARKS so the run set and the gated set cannot drift.
 # Recipes avoid `test | tee` because the default shell has no pipefail —
 # a crashing benchmark must fail the target even mid-log.
-PINNED_BENCHMARKS = BenchmarkSchedulerThroughput BenchmarkFigure17_LargeScale BenchmarkSuiteQuickSerial BenchmarkGatewaySubmit BenchmarkGrayFailure BenchmarkColdStartStages BenchmarkLLMContinuousBatch BenchmarkShardedHyperscale
-# The gate compares per-name best ns/op, and a sub-benchmarked pinned
-# name emits timing lines only for its children — so the sharded
-# hyperscale benchmark is gated by its two sub-benchmark paths while the
-# -bench regex selects it by top-level name.
-PINNED_GATE_NAMES = $(subst BenchmarkShardedHyperscale,BenchmarkShardedHyperscale/shards=1 BenchmarkShardedHyperscale/shards=all,$(PINNED_BENCHMARKS))
+PINNED_BENCHMARKS = BenchmarkSchedulerThroughput BenchmarkFigure17_LargeScale BenchmarkSuiteQuickSerial BenchmarkGatewaySubmit BenchmarkGrayFailure BenchmarkColdStartStages BenchmarkLLMContinuousBatch BenchmarkHyperscalePlacement
 empty :=
 space := $(empty) $(empty)
 PINNED_BENCH_RE = ^($(subst $(space),|,$(strip $(PINNED_BENCHMARKS))))$$
@@ -73,7 +68,7 @@ bench-gate:
 	$(GO) test -run '^$$' -bench '$(PINNED_BENCH_RE)' -benchtime 1x -count 3 -benchmem . \
 		> $(BENCH_GATE_OUT) || { cat $(BENCH_GATE_OUT); exit 1; }
 	@cat $(BENCH_GATE_OUT)
-	$(GO) run ./cmd/bench-gate -baseline bench/baseline.txt -new $(BENCH_GATE_OUT) -max-regress 0.10 $(PINNED_GATE_NAMES)
+	$(GO) run ./cmd/bench-gate -baseline bench/baseline.txt -new $(BENCH_GATE_OUT) -max-regress 0.10 $(PINNED_BENCHMARKS)
 
 # Refresh the committed baseline after an intentional perf change: the
 # full -short sweep for benchstat visibility, plus -count 3 of the
@@ -85,41 +80,43 @@ bench-baseline:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x -benchmem . > bench/baseline.txt
 	$(GO) test -run '^$$' -bench '$(PINNED_BENCH_RE)' -benchtime 1x -count 3 -benchmem . >> bench/baseline.txt
 
-# Hyperscale placement benchmark (40k GPUs / 32k instances): too heavy
-# for the per-PR bench smoke (-short keeps it out), pinned nightly so
-# the sub-linear placement claim stays guarded by automation.
+# Hyperscale placement benchmarks (up to 40k GPUs / 32k instances): too
+# heavy for the per-PR bench smoke (-short keeps them out), pinned
+# nightly so the sub-linear placement claim stays guarded by automation.
 BENCH_NIGHTLY_OUT ?= /tmp/dilu-bench-nightly.txt
 bench-hyperscale:
-	$(GO) test -run '^$$' -bench '^BenchmarkHyperscalePlacement$$' -benchtime 1x -benchmem . \
+	$(GO) test -run '^$$' -bench '^(BenchmarkPlacementClusterSize|BenchmarkHyperscalePlacement)$$' -benchtime 1x -benchmem . \
 		> $(BENCH_NIGHTLY_OUT) || { cat $(BENCH_NIGHTLY_OUT); exit 1; }
 	@cat $(BENCH_NIGHTLY_OUT)
 
 # Full-registry manifest determinism check: every driver (slow tier
-# included) runs serially, on all cores, and in sharded-replay mode at
-# the golden scale; all manifests must be byte-identical. The shards
-# axis (1 vs 2 vs all-core) is the determinism claim of the sharded
-# engine — one run partitioned across cores, same bytes. This is the
-# whole-registry extension of the committed quick/trace golden tests.
-# The token-level drivers then get their own dedicated axis: continuous
-# batching joins/preempts mid-stream and KV charge/release races would
-# show up exactly here, so they are byte-compared in isolation too.
+# included) runs serially and on all cores at the golden scale; the
+# manifests must be byte-identical. This is the whole-registry extension
+# of the committed quick/trace golden tests. The token-level drivers
+# then get their own dedicated pass: continuous batching joins/preempts
+# mid-stream and KV charge/release races would show up exactly here, so
+# they are byte-compared in isolation too.
 LLM_DRIVERS = llm_continuous_batch llm_kvcache_pressure
 MANIFEST_DIR ?= /tmp
 manifest-check:
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 1 -q -manifest $(MANIFEST_DIR)/dilu-manifest-serial.json
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -q -manifest $(MANIFEST_DIR)/dilu-manifest-parallel.json
 	cmp $(MANIFEST_DIR)/dilu-manifest-serial.json $(MANIFEST_DIR)/dilu-manifest-parallel.json
-	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -shards 2 -q -manifest $(MANIFEST_DIR)/dilu-manifest-shards2.json
-	cmp $(MANIFEST_DIR)/dilu-manifest-serial.json $(MANIFEST_DIR)/dilu-manifest-shards2.json
-	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -shards 0 -q -manifest $(MANIFEST_DIR)/dilu-manifest-shardsall.json
-	cmp $(MANIFEST_DIR)/dilu-manifest-serial.json $(MANIFEST_DIR)/dilu-manifest-shardsall.json
-	@echo "manifest determinism: serial == parallel == shards=2 == shards=all"
+	@echo "manifest determinism: serial == parallel"
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 1 -q -manifest $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(LLM_DRIVERS)
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -q -manifest $(MANIFEST_DIR)/dilu-manifest-llm-parallel.json $(LLM_DRIVERS)
 	cmp $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(MANIFEST_DIR)/dilu-manifest-llm-parallel.json
-	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -shards 2 -q -manifest $(MANIFEST_DIR)/dilu-manifest-llm-shards2.json $(LLM_DRIVERS)
-	cmp $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(MANIFEST_DIR)/dilu-manifest-llm-shards2.json
-	@echo "LLM driver determinism: serial == parallel == shards=2"
+	@echo "LLM driver determinism: serial == parallel"
+
+# Fuzz smoke: each fuzz target for FUZZ_TIME (go test accepts one -fuzz
+# target per package per invocation, hence one line per target).
+FUZZ_TIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceCSV$$' -fuzztime $(FUZZ_TIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceJSON$$' -fuzztime $(FUZZ_TIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzParseChurnCSV$$' -fuzztime $(FUZZ_TIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultCSV$$' -fuzztime $(FUZZ_TIME) ./internal/workload
 
 vet:
 	$(GO) vet ./...
@@ -138,4 +135,4 @@ ci: build vet fmt-check test-short test-race-subsys cover-check ci-bench
 
 # nightly mirrors .github/workflows/nightly.yml: the slow path the
 # per-PR workflow skips.
-nightly: test bench-hyperscale manifest-check
+nightly: test bench-hyperscale manifest-check fuzz-smoke

@@ -6,7 +6,6 @@
 package dilu
 
 import (
-	"runtime"
 	"testing"
 
 	"dilu/internal/core"
@@ -113,14 +112,14 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkHyperscalePlacement demonstrates that placement cost tracks
+// BenchmarkPlacementClusterSize demonstrates that placement cost tracks
 // *feasible candidates*, not cluster size: the same 3,200-instance
 // batch on 4k vs 40k GPUs costs nearly the same (a full-scan scheduler
-// pays ~10× there), and the full 32k-instance hyperscale batch grows
-// with the work actually placed. Excluded from CI's bench-smoke via
-// -short (the 32k case dominates suite wall time); run it with
-// `make bench` or `go test -bench HyperscalePlacement -benchtime 1x .`.
-func BenchmarkHyperscalePlacement(b *testing.B) {
+// pays ~10× there); BenchmarkHyperscalePlacement then shows the full
+// 32k-instance batch growing with the work actually placed. Both are
+// excluded from CI's bench-smoke via -short; run them with `make
+// bench-hyperscale`.
+func BenchmarkPlacementClusterSize(b *testing.B) {
 	if testing.Short() {
 		b.Skip("hyperscale sizes are excluded from the short/CI bench sweep")
 	}
@@ -130,7 +129,6 @@ func BenchmarkHyperscalePlacement(b *testing.B) {
 	}{
 		{"nodes=1000/inst=3200", 1000, 3200},
 		{"nodes=10000/inst=3200", 10000, 3200},
-		{"nodes=10000/inst=32000", 10000, 32000},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -142,33 +140,18 @@ func BenchmarkHyperscalePlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedHyperscale pins the sharded placement kernel on the
-// 40k-GPU / 32k-instance hyperscale batch: shards=1 takes the serial
-// scan paths, shards=all partitions the cluster across every core and
-// fans the candidate scans out on the fork-join pool. Placements are
-// bit-identical between the two (the shard-equivalence differentials
-// guard that); the ratio of the two timings is the parallel speedup on
-// the machine at hand. On a single-core host the two arms coincide —
-// the gate then guards the sharded dispatch overhead instead.
-func BenchmarkShardedHyperscale(b *testing.B) {
+// BenchmarkHyperscalePlacement pins the serial placement kernel on the
+// 40k-GPU / 32k-instance hyperscale batch: one Dilu scheduler placing
+// the §5.5 mix through the occupancy-bucket index.
+func BenchmarkHyperscalePlacement(b *testing.B) {
 	if testing.Short() {
 		b.Skip("hyperscale sizes are excluded from the short/CI bench sweep")
 	}
 	const nodes, inst = 10000, 32000
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards=1", 1},
-		{"shards=all", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if placed := experiments.ScheduleBatchShardedOn(nodes, inst, 1, bc.shards); placed < inst*9/10 {
-					b.Fatalf("placed only %d/%d instances", placed, inst)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if placed := experiments.ScheduleBatchOn(nodes, inst, 1); placed < inst*9/10 {
+			b.Fatalf("placed only %d/%d instances", placed, inst)
+		}
 	}
 }
 

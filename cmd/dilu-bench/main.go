@@ -8,7 +8,7 @@
 //	dilu-bench -parallel 8                # drain the suite on 8 workers
 //	dilu-bench -tier quick                # sub-second smoke subset
 //	dilu-bench -seeds 1,2,3 figure9       # multi-seed sweep of one driver
-//	dilu-bench -shards 0 hyperscale_max   # sharded replay on all cores
+//	dilu-bench hyperscale_max             # 250k-GPU placement ceiling
 //	dilu-bench -trace prod.csv            # replay an external arrival trace
 //	dilu-bench -churn ops.csv -faults gray.csv  # replay a recorded incident
 //	dilu-bench -out results -manifest results/manifest.json
@@ -18,7 +18,8 @@
 // stdout (or to -out when set). The manifest is deterministic for a
 // given driver set, seeds, and scale — identical bytes regardless of
 // -parallel — and records a fingerprint per run so reproducibility is
-// checkable with a diff.
+// checkable with a diff. -parallel spreads runs over workers; each run
+// itself is one serial replay.
 package main
 
 import (
@@ -46,7 +47,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "deterministic random seed")
 	seeds := flag.String("seeds", "", "comma-separated seed sweep (overrides -seed), e.g. 1,2,3")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count (1 = serial)")
-	shards := flag.Int("shards", 1, "shard count for the large-scale replay drivers (0 = all cores, 1 = serial); results are byte-identical at any value")
 	timeout := flag.Duration("timeout", 0, "per-driver wall-clock timeout (0 = none), e.g. 5m")
 	failFast := flag.Bool("failfast", false, "stop dispatching after the first failure")
 	tier := flag.String("tier", "", "run only these cost tiers (comma-separated: quick,standard,slow)")
@@ -197,11 +197,7 @@ func run() int {
 		}()
 	}
 
-	nshards := *shards
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	jobs := harness.JobsSharded(drivers, seedList, *scale, nshards)
+	jobs := harness.Jobs(drivers, seedList, *scale)
 	cfg := harness.Config{
 		Suite:    "dilu-bench",
 		Parallel: *parallel,

@@ -22,12 +22,6 @@ type Options struct {
 	Scale float64
 	// Seed drives all randomness; 0 means 1.
 	Seed int64
-	// Shards partitions the large-scale placement replays into N
-	// deterministic shards driven through sim.ShardedEngine on all cores
-	// (cluster position ranges + conservative barrier windows); 0 or 1
-	// runs the serial loop. Results — and therefore manifest bytes — are
-	// identical at any value; only wall time changes.
-	Shards int
 	// Meter, when non-nil, observes every engine the driver spins up
 	// (virtual time advanced, engine count). The harness attaches one
 	// meter per run for throughput accounting; it never affects results.
@@ -43,9 +37,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Shards < 0 {
-		o.Shards = 0
 	}
 	return o
 }

@@ -63,7 +63,7 @@ func All() []Driver {
 		{"trace_replay", "Committed sample-trace replay with SLO accounting (extra)", TierStandard, TraceReplay},
 		{"tenant_mix", "Multi-tenant Zipf mix across schedulers (extra)", TierStandard, TenantMixStudy},
 		{"hyperscale", "Hyperscale placement — 40k GPUs / 32k instances (extra)", TierSlow, Hyperscale},
-		{"hyperscale_max", "Sharded hyperscale ceiling — 250k GPUs / 200k instances (extra)", TierSlow, HyperscaleMax},
+		{"hyperscale_max", "Hyperscale ceiling — 250k GPUs / 200k instances (extra)", TierSlow, HyperscaleMax},
 		{"hetero_mix", "Heterogeneous 70/30 fleet placement comparison (extra)", TierStandard, HeteroMix},
 		{"churn_recovery", "SLO attainment through a node-failure wave (extra)", TierStandard, ChurnRecovery},
 		{"rolling_drain", "Zero-downtime rolling drain sweep (extra)", TierStandard, RollingDrain},

@@ -62,10 +62,10 @@ func (m *Meter) addTicks(n int64) {
 }
 
 // Merge atomically folds src's counters into m. The merge is a set of
-// commutative, associative adds, so shards reporting concurrently — or
-// in any permutation of orders — produce identical totals; this is what
-// keeps aggregated attribution deterministic at any shard count. Safe
-// on a nil receiver or source; src is read atomically and unmodified.
+// commutative, associative adds, so meters folded concurrently — or in
+// any permutation of orders — produce identical totals, which keeps
+// aggregated attribution deterministic. Safe on a nil receiver or
+// source; src is read atomically and unmodified.
 func (m *Meter) Merge(src *Meter) {
 	if m == nil || src == nil {
 		return

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestMeterMergeOrderIndependent is the regression for shard-report
-// aggregation: folding the same set of shard meters into an aggregate
-// must give identical totals for every permutation of merge order — and
-// when every shard reports concurrently. Before Merge existed, callers
+// TestMeterMergeOrderIndependent is the regression for meter
+// aggregation: folding the same set of meters into an aggregate must
+// give identical totals for every permutation of merge order — and when
+// every meter is folded concurrently. Before Merge existed, callers
 // hand-copied counters non-atomically; this pins the commutative-add
-// contract the sharded engine's barriers rely on.
+// contract.
 func TestMeterMergeOrderIndependent(t *testing.T) {
 	const shards = 7
 	mk := func() []*Meter {

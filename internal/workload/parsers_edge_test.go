@@ -7,10 +7,12 @@ import (
 	"dilu/internal/sim"
 )
 
-// Table-driven edge cases for the three CSV schedule parsers, pinned on
-// the row-numbered error contract: a malformed row must name its line,
-// never be silently skipped. Silent skips turn a fat-fingered incident
-// replay into a subtly different experiment.
+// Table-driven edge cases for the four external-input parsers, pinned
+// on the row-numbered error contract: a malformed row must name its
+// line, never be silently skipped. Silent skips turn a fat-fingered
+// incident replay into a subtly different experiment. Non-finite and
+// out-of-range seconds belong here too: converting them to virtual time
+// is implementation-defined in Go (amd64 yields math.MinInt64).
 func TestParserEdgeCasesRowNumberedErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -29,6 +31,14 @@ func TestParserEdgeCasesRowNumberedErrors(t *testing.T) {
 			"10,error,0,0\n20,melt,0,0\n", "fault line 2: unknown action \"melt\""},
 		{"fault bad gpu", parseFault,
 			"10,error,0,x\n", "fault line 1: bad gpu \"x\""},
+		{"fault nan seconds", parseFault,
+			"nan,slow,0,0,2\n", "fault line 1: timestamp \"NaN\" is not finite"},
+		{"fault huge seconds", parseFault,
+			"1e300,error,0,*\n", "fault line 1: timestamp \"1e+300\" exceeds the largest virtual time"},
+		{"fault nan factor", parseFault,
+			"1,slow,0,0,nan\n", "fault line 1: bad factor \"nan\""},
+		{"fault inf factor", parseFault,
+			"1,slow,0,0,inf\n", "fault line 1: bad factor \"inf\""},
 		// --- churn schedule ---
 		{"churn negative seconds", parseChurn,
 			"10,fail,0\n-1,join,0\n", "churn line 2: negative timestamp"},
@@ -40,6 +50,8 @@ func TestParserEdgeCasesRowNumberedErrors(t *testing.T) {
 			"10,fail,0\n20,fail,1,*\n", "churn line 2: want seconds,action,node"},
 		{"churn bad node", parseChurn,
 			"10,fail,*\n", "churn line 1: bad node \"*\""},
+		{"churn nan seconds", parseChurn,
+			"nan,fail,0\n", "churn line 1: timestamp \"NaN\" is not finite"},
 		// --- request trace ---
 		{"trace negative seconds", parseTrace,
 			"0.5,alpha\n-2,beta\n", "tr:2: negative timestamp \"-2\""},
@@ -47,6 +59,17 @@ func TestParserEdgeCasesRowNumberedErrors(t *testing.T) {
 			"0.5,alpha\n0..7,beta\n", "tr:2: bad timestamp \"0..7\""},
 		{"trace missing function", parseTrace,
 			"0.5,alpha\n1.5\n", "tr:2: want \"seconds,function\""},
+		{"trace nan seconds", parseTrace,
+			"0.5,alpha\nnan,beta\n", "tr:2: timestamp \"NaN\" is not finite"},
+		{"trace inf seconds", parseTrace,
+			"inf,beta\n", "tr:1: timestamp \"+Inf\" is not finite"},
+		{"trace huge seconds", parseTrace,
+			"0.5,alpha\n1e300,beta\n", "tr:2: timestamp \"1e+300\" exceeds the largest virtual time"},
+		// --- request trace, JSON (rows are 1-based event indices) ---
+		{"trace json negative seconds", parseTraceJSON,
+			`{"events":[{"t":0.5,"func":"a"},{"t":-1,"func":"b"}]}`, "tr: event 2: negative timestamp \"-1\""},
+		{"trace json huge seconds", parseTraceJSON,
+			`{"events":[{"t":1e300,"func":"a"}]}`, "tr: event 1: timestamp \"1e+300\" exceeds the largest virtual time"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,6 +96,11 @@ func parseChurn(in string) error {
 
 func parseTrace(in string) error {
 	_, err := ParseTraceCSV("tr", strings.NewReader(in))
+	return err
+}
+
+func parseTraceJSON(in string) error {
+	_, err := ParseTraceJSON("tr", strings.NewReader(in))
 	return err
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -34,12 +35,10 @@ type Trace struct {
 	Events []TraceEvent
 }
 
-// normalize sorts events and validates timestamps.
+// normalize sorts events and checks every event names a function (the
+// parsers have already validated timestamps row by row).
 func (t *Trace) normalize() error {
 	for _, e := range t.Events {
-		if e.At < 0 {
-			return fmt.Errorf("workload: trace %q has negative timestamp %v", t.Label, e.At)
-		}
 		if e.Func == "" {
 			return fmt.Errorf("workload: trace %q has an event without a function", t.Label)
 		}
@@ -124,6 +123,38 @@ func (ts Times) Generate(_ *sim.RNG, dur sim.Duration) []sim.Time {
 // ---------------------------------------------------------------------------
 // Parsing.
 
+// parseSeconds parses a timestamp field of fractional seconds into
+// virtual time for the CSV parsers. On a syntax error, header reports
+// whether the field holds no digits at all — the shape of a column
+// name, which a parser may skip on its first data row; "nan" and "inf"
+// parse as numbers, so they are rejected rather than skipped. Errors
+// carry no position: callers prefix their row.
+func parseSeconds(field string) (at sim.Time, header bool, err error) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, !strings.ContainsAny(field, "0123456789"), fmt.Errorf("bad timestamp %q", field)
+	}
+	at, err = secondsToTime(v)
+	return at, false, err
+}
+
+// secondsToTime converts seconds to virtual time, rejecting NaN, ±Inf,
+// negative values and values of 2⁶³ µs or more (past the largest
+// sim.Time): Go leaves float→int conversion of those
+// implementation-defined (amd64 yields math.MinInt64, which then sorts
+// first instead of failing).
+func secondsToTime(v float64) (sim.Time, error) {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return 0, fmt.Errorf("timestamp \"%v\" is not finite", v)
+	case v < 0:
+		return 0, fmt.Errorf("negative timestamp \"%v\"", v)
+	case v*float64(sim.Second) >= math.MaxInt64:
+		return 0, fmt.Errorf("timestamp \"%v\" exceeds the largest virtual time", v)
+	}
+	return sim.FromSeconds(v), nil
+}
+
 // ParseTraceCSV reads the simple CSV trace format:
 //
 //	# comment lines and blank lines are skipped
@@ -150,23 +181,17 @@ func ParseTraceCSV(label string, r io.Reader) (*Trace, error) {
 		}
 		dataRows++
 		sec, fn = strings.TrimSpace(sec), strings.TrimSpace(fn)
-		v, err := strconv.ParseFloat(sec, 64)
+		at, header, err := parseSeconds(sec)
 		if err != nil {
 			// A first row that fails to parse is the optional header only
-			// if it looks like one — no digits at all ("seconds"). A
-			// malformed timestamp ("0..5") must error, not vanish.
-			if dataRows == 1 && !strings.ContainsAny(sec, "0123456789") {
+			// if it looks like one ("seconds"). A malformed timestamp
+			// ("0..5") must error, not vanish.
+			if dataRows == 1 && header {
 				continue
 			}
-			return nil, fmt.Errorf("workload: %s:%d: bad timestamp %q: %v", label, line, sec, err)
+			return nil, fmt.Errorf("workload: %s:%d: %v", label, line, err)
 		}
-		if v < 0 {
-			// Row-numbered, like every other parse error: normalize()
-			// would also reject it, but only with a trace-level message
-			// that leaves the offending row to a manual hunt.
-			return nil, fmt.Errorf("workload: %s:%d: negative timestamp %q", label, line, sec)
-		}
-		tr.Events = append(tr.Events, TraceEvent{At: sim.FromSeconds(v), Func: fn})
+		tr.Events = append(tr.Events, TraceEvent{At: at, Func: fn})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("workload: %s: %v", label, err)
@@ -200,8 +225,12 @@ func ParseTraceJSON(label string, r io.Reader) (*Trace, error) {
 		label = doc.Name
 	}
 	tr := &Trace{Label: label}
-	for _, e := range doc.Events {
-		tr.Events = append(tr.Events, TraceEvent{At: sim.FromSeconds(e.T), Func: e.Func})
+	for i, e := range doc.Events {
+		at, err := secondsToTime(e.T)
+		if err != nil {
+			return nil, fmt.Errorf("workload: %s: event %d: %v", label, i+1, err)
+		}
+		tr.Events = append(tr.Events, TraceEvent{At: at, Func: e.Func})
 	}
 	if err := tr.normalize(); err != nil {
 		return nil, err
