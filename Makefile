@@ -108,15 +108,14 @@ manifest-check:
 	cmp $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(MANIFEST_DIR)/dilu-manifest-llm-parallel.json
 	@echo "LLM driver determinism: serial == parallel"
 
-# Fuzz smoke: each fuzz target for FUZZ_TIME (go test accepts one -fuzz
+# Fuzz smoke: each fuzz target for 10 s (go test accepts one -fuzz
 # target per package per invocation, hence one line per target).
-FUZZ_TIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime $(FUZZ_TIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceCSV$$' -fuzztime $(FUZZ_TIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceJSON$$' -fuzztime $(FUZZ_TIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzParseChurnCSV$$' -fuzztime $(FUZZ_TIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultCSV$$' -fuzztime $(FUZZ_TIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceCSV$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceJSON$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzParseChurnCSV$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultCSV$$' -fuzztime 10s ./internal/workload
 
 vet:
 	$(GO) vet ./...
