@@ -6,11 +6,20 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race-subsys cover-check bench bench-quick bench-gate \
+.PHONY: build perfbench-build test test-short test-race-subsys cover-check bench bench-quick bench-gate \
 	bench-baseline bench-hyperscale manifest-check fuzz-smoke vet fmt-check ci ci-bench nightly
 
 build:
 	$(GO) build ./...
+
+# The benchmark harness is its own module (perfbench/go.mod, replacing
+# dilu with ../), so `go build ./...` never compiles it. Build and vet it
+# here so a change to an API it reads fails the check gate, not only the
+# benchmark run. perfbench is a single main package, so a plain build
+# would write its binary into perfbench/; -o /dev/null discards it.
+perfbench-build:
+	$(GO) build -C perfbench -o /dev/null ./...
+	$(GO) vet -C perfbench ./...
 
 test:
 	$(GO) test ./...
@@ -130,7 +139,7 @@ fmt-check:
 # one-iteration suite sweep, then the pinned-benchmark gate.
 ci-bench: bench-quick bench-gate
 
-ci: build vet fmt-check test-short test-race-subsys cover-check ci-bench
+ci: build perfbench-build vet fmt-check test-short test-race-subsys cover-check ci-bench
 
 # nightly mirrors .github/workflows/nightly.yml: the slow path the
 # per-PR workflow skips.

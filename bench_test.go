@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§5). Each benchmark runs the corresponding experiment
 // driver at a reduced scale and reports domain metrics alongside wall
-// time; `cmd/dilu-bench -scale 1` produces the full-length numbers
-// recorded in EXPERIMENTS.md.
+// time; `cmd/dilu-bench -scale 1` produces the full-length numbers.
+// EXPERIMENTS.md lists the claims asserted on several seeds.
 package dilu
 
 import (
@@ -175,7 +175,7 @@ func BenchmarkTrainingProfiler(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerAblation regenerates the DESIGN.md §4.6 controller
+// BenchmarkControllerAblation regenerates the RCKM controller
 // ablation table (not a paper artifact; quantifies the interpretation
 // choices against literal Algorithm 2).
 func BenchmarkControllerAblation(b *testing.B) { runExperiment(b, "ablation-controller") }
@@ -213,9 +213,9 @@ func BenchmarkGrayFailure(b *testing.B) { runExperiment(b, "gray_failure") }
 // pinned slow-GPU schedule.
 func BenchmarkStragglerTail(b *testing.B) { runExperiment(b, "straggler_tail") }
 
-// BenchmarkColdStartStages runs the three-arm staged cold-start
-// comparison: stage decomposition, per-stage violation attribution, and
-// kernel-cache warm pools all on the hot path of the cached arm.
+// BenchmarkColdStartStages runs the two-arm staged cold-start
+// comparison: stage decomposition and per-stage violation attribution
+// in both arms, kernel-cache warm pools on the hot path of the cache arm.
 func BenchmarkColdStartStages(b *testing.B) { runExperiment(b, "coldstart_stages") }
 
 // BenchmarkLLMContinuousBatch runs the two-arm token-level serving

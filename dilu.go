@@ -8,7 +8,7 @@
 // real-time kernel manager (Algorithm 2, §3.4) — together with every
 // baseline of the evaluation (Exclusive, MPS-l/-r, TGS, FaST-GS+,
 // INFless+-l/-r) on a deterministic discrete-time GPU cluster simulator
-// that substitutes for the paper's A100 testbed (see DESIGN.md).
+// that substitutes for the paper's A100 testbed (see README.md).
 //
 // The root package re-exports the public API; the quickest way in:
 //

@@ -140,9 +140,7 @@ func (f *Function) sweepWarmRetired() {
 		}
 		w.dead = true
 		f.warm = append(f.warm[:i], f.warm[i+1:]...)
-		reqs := w.si.inst.Abort()
-		f.teardown(w.si)
-		f.redispatch(reqs, now)
+		f.redispatch(f.teardown(w.si), now)
 	}
 }
 
@@ -159,8 +157,7 @@ func (f *Function) evictFailed(now sim.Time) {
 		f.active = append(f.active[:i], f.active[i+1:]...)
 		f.sys.churn.EvictedInstances++
 		si.inst.SetActive(false)
-		reqs := si.inst.Abort()
-		f.teardown(si)
+		reqs := f.teardown(si)
 		if _, err := f.launch(true); err != nil {
 			f.sys.churn.LostLaunches++
 		}
@@ -204,9 +201,7 @@ func (f *Function) retire(si *servedInstance, now sim.Time) {
 	}
 	f.active = append(f.active[:idx], f.active[idx+1:]...)
 	si.inst.SetActive(false)
-	reqs := si.inst.Abort()
-	f.teardown(si)
-	f.redispatch(reqs, now)
+	f.redispatch(f.teardown(si), now)
 }
 
 // redispatch returns aborted requests to the gateway: straight onto the

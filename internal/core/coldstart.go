@@ -1,9 +1,9 @@
 // Staged cold starts: the serving-plane half of the cold-start stage
 // model. model.ColdStartStages supplies the decomposition (image init,
-// parameter load, kernel JIT); this file applies the node-local kernel
-// cache to shrink the JIT stage on relaunch, stamps each request freed
-// by a cold launch with the stage actually on its critical path, and
-// rolls cache/stage activity into the SLO summary's cold-start block.
+// parameter load, kernel JIT); this file applies the optional node-local
+// kernel cache to skip the JIT stage on relaunch, stamps each request
+// freed by a cold launch with the stage actually on its critical path,
+// and rolls cache/stage activity into the SLO summary's cold-start block.
 package core
 
 import (
@@ -13,27 +13,9 @@ import (
 	"dilu/internal/sim"
 )
 
-// ColdStartConfig enables the staged cold-start model with node-local
-// kernel caches. Nil (the Config default) keeps the legacy scalar
-// path — identical timing, no caches, no stage attribution — so every
-// pre-stage driver manifest stays byte-identical.
-type ColdStartConfig struct {
-	// JITFactor scales the kernel-JIT stage of a cold launch whose
-	// target nodes all hold compiled kernels for the function: 0 (the
-	// default) skips the stage entirely, 0.5 halves it, 1 disables the
-	// shortening while keeping caches and attribution live.
-	JITFactor float64
-	// CacheCap bounds each node's kernel cache (LRU entries); <= 0
-	// defaults to 32 functions per node.
-	CacheCap int
-}
-
-func (c ColdStartConfig) withDefaults() ColdStartConfig {
-	if c.CacheCap <= 0 {
-		c.CacheCap = 32
-	}
-	return c
-}
+// kernelCacheCap bounds each node's kernel cache (LRU entries) when
+// Config.KernelCache is on.
+const kernelCacheCap = 32
 
 // ColdStartStats aggregates the run's cold-launch activity for the SLO
 // summary's cold-start block.
@@ -48,24 +30,15 @@ type ColdStartStats struct {
 // ColdStartStats returns the run's cold-launch counters.
 func (sys *System) ColdStartStats() ColdStartStats { return sys.coldStats }
 
-// trackColdStages reports whether precise cold-on-path attribution is
-// armed: either the stage model or prewarming makes cold starts
-// first-class.
-func (sys *System) trackColdStages() bool {
-	return sys.cfg.ColdStart != nil || sys.cfg.Prewarm != nil
-}
-
 // coldStages returns the effective stage durations for a cold launch
-// on the decision's GPUs. With the stage model enabled, a launch whose
-// target nodes all hold compiled kernels for the function shrinks its
-// JIT stage by JITFactor; multi-node instances hit only when every
-// node is warm (each shard JITs locally). The default decomposition
-// sums exactly to Spec.ColdStart(), so the legacy path's timing is
-// unchanged to the nanosecond.
+// on the decision's GPUs. With kernel caches on, a launch whose target
+// nodes all hold compiled kernels for the function skips its JIT stage;
+// multi-node instances hit only when every node is warm (each shard
+// JITs locally). Without caches the decomposition sums exactly to
+// Spec.ColdStart().
 func (f *Function) coldStages(dec sched.Decision) model.ColdStartStages {
 	st := f.Spec.ColdStartStages()
-	cc := f.sys.cfg.ColdStart
-	if cc == nil {
+	if !f.sys.cfg.KernelCache {
 		return st
 	}
 	warm := len(dec.GPUs) > 0
@@ -77,7 +50,7 @@ func (f *Function) coldStages(dec sched.Decision) model.ColdStartStages {
 	}
 	if warm {
 		f.sys.coldStats.KernelCacheHits++
-		st.KernelJIT = sim.Duration(float64(st.KernelJIT) * cc.JITFactor)
+		st.KernelJIT = 0
 	} else {
 		f.sys.coldStats.KernelCacheMisses++
 	}
@@ -86,12 +59,8 @@ func (f *Function) coldStages(dec sched.Decision) model.ColdStartStages {
 
 // noteKernels records the function's kernels as compiled on every node
 // the decision touches — called when an instance activates (its JIT,
-// full or shortened, has completed by then). No-op on the legacy path:
-// caches exist only when the stage model is configured.
+// full or skipped, has completed by then). No-op without caches.
 func (f *Function) noteKernels(dec sched.Decision) {
-	if f.sys.cfg.ColdStart == nil {
-		return
-	}
 	for _, g := range dec.GPUs {
 		if g.Node != nil && g.Node.Kernels != nil {
 			g.Node.Kernels.Note(f.Name)
@@ -144,8 +113,7 @@ func coldStageOnPath(arrive, ready sim.Time, st model.ColdStartStages) metrics.C
 // same priority/deadline drain, with each dispatched request stamped
 // with the cold-start stage on its critical path. Dispatch order and
 // timing are identical to flushPending — the stamp is attribution
-// metadata the recorder only counts when stage tracking is armed, so
-// the legacy path's bytes are untouched.
+// metadata only.
 func (f *Function) flushPendingCold(now sim.Time, st model.ColdStartStages) {
 	if len(f.pending) == 0 {
 		return
@@ -169,12 +137,8 @@ func (f *Function) flushPendingCold(now sim.Time, st model.ColdStartStages) {
 }
 
 // coldStartSLO assembles the SLO summary's cold-start block; nil (and
-// therefore absent from manifests) unless the stage model or
-// prewarming is configured.
+// therefore absent from manifests) when every column is zero.
 func (sys *System) coldStartSLO() *metrics.ColdStartSLO {
-	if !sys.trackColdStages() {
-		return nil
-	}
 	cs := &metrics.ColdStartSLO{
 		KernelCacheHits:   sys.coldStats.KernelCacheHits,
 		KernelCacheMisses: sys.coldStats.KernelCacheMisses,
@@ -187,6 +151,9 @@ func (sys *System) coldStartSLO() *metrics.ColdStartSLO {
 		cs.ModelLoadViolations += int64(f.Rec.StageViolations(metrics.ColdModelLoad))
 		cs.KernelJITViolations += int64(f.Rec.StageViolations(metrics.ColdKernelJIT))
 		cs.WarmQueueViolations += int64(f.Rec.WarmQueueViolations())
+	}
+	if *cs == (metrics.ColdStartSLO{}) {
+		return nil
 	}
 	return cs
 }

@@ -111,16 +111,14 @@ type Function struct {
 	arrived int // arrivals in the current 1 s sample window
 
 	// Gateway ledger (see gateway.go): submitted = admitted + shed, and
-	// admitted = served + in-flight + lost. The simtest
-	// request-conservation invariant recounts these from the serving
-	// plane every tick. lost counts admitted requests destroyed with
-	// their instance on the no-keep-alive scale-in path (the one teardown
-	// that drops work rather than redispatching it — see scaleIn).
+	// admitted = served + in-flight. Every teardown hands its unfinished
+	// work back to the gateway, so no admitted request leaves the system
+	// unserved. The simtest request-conservation invariant recounts
+	// these from the serving plane every tick.
 	tenant    string
 	submitted int64
 	admitted  int64
 	shed      int64
-	lost      int64
 
 	// res is the request-resilience state (timeout/retry/hedge); nil
 	// whenever Config.Resilience is nil — every touchpoint guards on
@@ -149,15 +147,10 @@ func (f *Function) GatewayCounts() (submitted, admitted, shed int64) {
 	return f.submitted, f.admitted, f.shed
 }
 
-// Lost returns admitted requests destroyed with their instance (the
-// no-keep-alive scale-in teardown) — the only way an admitted request
-// leaves the system unserved.
-func (f *Function) Lost() int64 { return f.lost }
-
 // InFlightCount is the ledger view of the function's in-system requests:
-// admitted but neither served nor lost. Fair-share admission treats it
-// as the tenant's dominant-resource demand.
-func (f *Function) InFlightCount() int64 { return f.admitted - f.Served() - f.lost }
+// admitted but not yet served. Fair-share admission treats it as the
+// tenant's dominant-resource demand.
+func (f *Function) InFlightCount() int64 { return f.admitted - f.Served() }
 
 // RecountInFlight recounts in-flight requests from first principles —
 // gateway pending plus every instance's queued and batched work,
@@ -225,9 +218,6 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 	}
 	if sys.cfg.Prewarm != nil {
 		f.prewarm = newPrewarmState(*sys.cfg.Prewarm)
-	}
-	if sys.trackColdStages() {
-		f.Rec.SetColdStageTracking(true)
 	}
 	if f.tenant != "" {
 		f.Rec.SetTenant(f.tenant)
@@ -446,12 +436,10 @@ func (f *Function) launch(cold bool) (*servedInstance, error) {
 	if cold {
 		f.ColdStarts.Inc()
 		f.Launches.Inc()
-		// Staged cold start: the default decomposition's total equals
-		// the historical scalar exactly, and with the stage model
-		// enabled a kernel-cache hit shrinks the JIT stage. The
-		// activation flush stamps each freed request with the stage on
-		// its critical path — attribution metadata the recorder counts
-		// only when stage tracking is armed.
+		// Staged cold start: the decomposition's total equals
+		// Spec.ColdStart() exactly, and with kernel caches on a cache
+		// hit skips the JIT stage. The activation flush stamps each
+		// freed request with the stage on its critical path.
 		st := f.coldStages(dec)
 		sys.coldStats.ColdLaunches++
 		sys.coldStats.ColdTime += st.Total()
@@ -510,7 +498,8 @@ func (f *Function) scaleOut() {
 }
 
 // scaleIn deactivates the least-loaded instance; its reservation either
-// enters the keep-alive pool (TTL > 0) or is torn down immediately.
+// enters the keep-alive pool (TTL > 0) or is torn down immediately, its
+// in-flight batch going back through the gateway.
 func (f *Function) scaleIn(now sim.Time) {
 	if len(f.active) <= 1 {
 		return
@@ -539,32 +528,15 @@ func (f *Function) scaleIn(now sim.Time) {
 		ttl = f.policy.KeepAliveTTL()
 	}
 	if ttl <= 0 {
-		if f.sys.cfg.RequeueOnTeardown || f.res != nil {
-			// Requeue-on-teardown: the dying instance's in-flight batch
-			// (the queue already drained above) goes back through the
-			// gateway with original arrival stamps — the retried work
-			// shows up as latency, not as lost requests. Resilience-
-			// enabled systems always take this path.
-			reqs := si.inst.Abort()
-			f.teardown(si)
-			f.redispatch(reqs, now)
-			return
-		}
-		// The instance dies with whatever batch it was executing: those
-		// requests are destroyed, not redispatched (retrying work whose
-		// results are half-computed is the caller's policy, and no
-		// pre-gateway driver did). The ledger records them so request
-		// conservation still balances: admitted = served + in-flight + lost.
-		f.lost += int64(si.inst.Load())
-		f.teardown(si)
+		f.redispatch(f.teardown(si), now)
 		return
 	}
 	w := &warmEntry{si: si, expires: now + ttl}
 	f.warm = append(f.warm, w)
-	f.sys.Eng.Schedule(w.expires, func(sim.Time) {
+	f.sys.Eng.Schedule(w.expires, func(at sim.Time) {
 		if !w.reused && !w.dead {
 			w.dead = true
-			f.teardown(si)
+			f.redispatch(f.teardown(si), at)
 		}
 	})
 }
@@ -581,16 +553,17 @@ func (f *Function) popWarm() *warmEntry {
 	return nil
 }
 
-// teardown releases an instance's devices and reservations.
-func (f *Function) teardown(si *servedInstance) {
-	if l, ok := si.inst.(*instance.LLM); ok {
-		// Unwind any remaining KV charge through the stage backings before
-		// the placements go away (the lost-teardown path, where no Abort
-		// preceded us); a post-Abort call finds nothing to release.
-		l.ReleaseAllKV()
-	}
+// teardown aborts an instance's unfinished work and releases its
+// devices and reservations. It returns the aborted requests — resident
+// or batched first, then the queue, original Arrive stamps — for the
+// caller to hand back to the gateway. The abort runs first so an LLM
+// instance unwinds its KV charge through the stage backings before the
+// placements go away.
+func (f *Function) teardown(si *servedInstance) []instance.Request {
+	reqs := si.inst.Abort()
 	f.sys.detach(si.dec, si.stages)
 	si.dec.Release()
+	return reqs
 }
 
 // sample is the 1 Hz control step for this function.

@@ -54,19 +54,15 @@ type Config struct {
 	// Health enables the per-GPU health monitor and quarantine cycle
 	// (see HealthConfig); nil disables monitoring.
 	Health *HealthConfig
-	// ColdStart enables the staged cold-start model with node-local
-	// kernel caches (see ColdStartConfig); nil keeps the legacy scalar
-	// cold start — identical timing, no caches, no stage attribution.
-	ColdStart *ColdStartConfig
+	// KernelCache gives every node an LRU cache of compiled kernels: a
+	// cold launch whose target nodes all hold the function's kernels
+	// skips its kernel-JIT stage, and the Dilu scheduler breaks score
+	// ties toward cache-warm nodes. Off, every launch pays the full
+	// staged cold start.
+	KernelCache bool
 	// Prewarm enables predictive prewarming (see PrewarmConfig); nil
 	// disables the layer with zero overhead.
 	Prewarm *PrewarmConfig
-	// RequeueOnTeardown makes the no-keep-alive scale-in path requeue an
-	// instance's in-flight batch through the gateway instead of counting
-	// it lost. Default false preserves the historical drop-on-teardown
-	// ledger (resilience-enabled systems always requeue — losing
-	// requests would defeat the retry machinery).
-	RequeueOnTeardown bool
 	// Seed drives all randomness.
 	Seed int64
 	// Meter, when non-nil, observes the engine's virtual-time progress
@@ -99,10 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.Resilience != nil {
 		r := c.Resilience.withDefaults()
 		c.Resilience = &r
-	}
-	if c.ColdStart != nil {
-		cs := c.ColdStart.withDefaults()
-		c.ColdStart = &cs
 	}
 	if c.Prewarm != nil {
 		pw := c.Prewarm.withDefaults()
@@ -170,8 +162,8 @@ type System struct {
 	health     *healthMonitor
 
 	// coldStats aggregates cold-launch activity (kernel-cache hits,
-	// prewarm launches, total cold time); surfaced in the SLO summary
-	// only when the stage model or prewarming is configured.
+	// prewarm launches, total cold time) for the SLO summary's
+	// cold-start block.
 	coldStats ColdStartStats
 
 	// llmDeployed latches once any deployment uses the token-level
@@ -238,9 +230,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Health != nil {
 		sys.health = newHealthMonitor(sys, *cfg.Health)
 	}
-	if cfg.ColdStart != nil {
+	if cfg.KernelCache {
 		for _, n := range clu.Nodes {
-			n.Kernels = gpu.NewKernelCache(cfg.ColdStart.CacheCap)
+			n.Kernels = gpu.NewKernelCache(kernelCacheCap)
 		}
 	}
 	sys.tickHandle = sys.Eng.AddDynamicTicker(sim.TickerFunc(sys.tick))

@@ -2,8 +2,9 @@
 // paper's evaluation (§5). Each driver builds the scenario from the
 // public building blocks (core.System, workload generators, profiler,
 // scheduler), runs it on virtual time, and emits a report.Report whose
-// rows mirror what the paper plots. EXPERIMENTS.md records the
-// paper-vs-measured comparison for every driver.
+// rows mirror what the paper plots. EXPERIMENTS.md is the claims
+// ledger: each row names a driver, a claim about it, and the test that
+// asserts the claim on several seeds.
 package experiments
 
 import (

@@ -57,17 +57,10 @@ type LatencyRecorder struct {
 	// one-sort-per-epoch contract.
 	sorted bool
 	sorts  int
-	// violations counts samples above the SLO; waitViolations is the
-	// legacy attribution — the subset whose request waited at the
-	// gateway before dispatch, regardless of whether a launch was on its
-	// path. It keeps pre-stage-model manifest bytes stable.
-	violations     int
-	waitViolations int
-	// trackStages arms the precise cold-on-path attribution: per-stage
-	// violation counters plus the warm-queue bucket (waited, but no
-	// launch on the path). Off by default so recorders on the legacy
-	// path never count — the omitempty manifest fields must stay zero.
-	trackStages         bool
+	// violations counts samples above the SLO. Each violating sample is
+	// attributed to the cold-start stage on its critical path, or to the
+	// warm-queue bucket when it waited with no launch on the path.
+	violations          int
 	stageViolations     [4]int // indexed by ColdStage; [ColdNone] unused
 	warmQueueViolations int
 }
@@ -101,36 +94,20 @@ func (r *LatencyRecorder) ObserveWait(latency, wait sim.Duration) {
 	r.ObserveWaitStage(latency, wait, ColdNone)
 }
 
-// SetColdStageTracking arms (or disarms) per-stage attribution. The
-// serving plane sets it when the staged cold-start model or prewarming
-// is configured; recorders on the legacy path leave it off so the
-// omitempty stage counters stay zero in manifests.
-func (r *LatencyRecorder) SetColdStageTracking(on bool) { r.trackStages = on }
-
 // ObserveWaitStage records one request latency, its gateway wait, and
-// the cold-start stage on its critical path (ColdNone when the request
-// waited for an already-launching-free reason or not at all).
-//
-// Violation attribution is two-tier. The legacy counter keeps the
-// historical wait>0 heuristic unconditionally — fault-free manifests
-// depend on its bytes. When stage tracking is armed, a violating
-// sample is additionally attributed precisely: to the stage actually
-// on its path, or to the warm-queue bucket when it waited with no
-// launch on the path.
+// the cold-start stage on its critical path (ColdNone when no launch
+// was on the path). A violating sample is attributed to that stage, or
+// to the warm-queue bucket when it waited with no launch on the path;
+// a violation that never waited has no attribution.
 func (r *LatencyRecorder) ObserveWaitStage(latency, wait sim.Duration, stage ColdStage) {
 	r.samples = append(r.samples, latency)
 	r.sorted = false
 	if r.slo > 0 && latency > r.slo {
 		r.violations++
-		if wait > 0 {
-			r.waitViolations++
-		}
-		if r.trackStages {
-			if stage != ColdNone {
-				r.stageViolations[stage]++
-			} else if wait > 0 {
-				r.warmQueueViolations++
-			}
+		if stage != ColdNone {
+			r.stageViolations[stage]++
+		} else if wait > 0 {
+			r.warmQueueViolations++
 		}
 	}
 }
@@ -141,31 +118,24 @@ func (r *LatencyRecorder) Count() int { return len(r.samples) }
 // Violations returns the number of SLO-violating samples.
 func (r *LatencyRecorder) Violations() int { return r.violations }
 
-// ColdStartViolations returns the violating samples attributed to the
-// cold-start path. With stage tracking armed it is the precise count —
-// violations with a launch stage on the critical path; otherwise it
-// falls back to the legacy wait>0 heuristic (which also sweeps in
-// warm-queueing waits, the PR-3 misattribution this split fixes).
+// ColdStartViolations returns the violating samples with a launch
+// stage on their critical path.
 func (r *LatencyRecorder) ColdStartViolations() int {
-	if r.trackStages {
-		return r.stageViolations[ColdImageInit] +
-			r.stageViolations[ColdModelLoad] +
-			r.stageViolations[ColdKernelJIT]
-	}
-	return r.waitViolations
+	return r.stageViolations[ColdImageInit] +
+		r.stageViolations[ColdModelLoad] +
+		r.stageViolations[ColdKernelJIT]
 }
 
 // StageViolations returns the violating samples whose critical path ran
-// through the given cold-start stage. Zero unless stage tracking is
-// armed; ColdNone always reports zero (see WarmQueueViolations).
+// through the given cold-start stage; ColdNone always reports zero (see
+// WarmQueueViolations).
 func (r *LatencyRecorder) StageViolations(stage ColdStage) int {
 	return r.stageViolations[stage]
 }
 
 // WarmQueueViolations returns the violating samples that waited at the
 // gateway with no launch on their critical path — warm queueing,
-// redispatch after churn, retry/hedge waits. Zero unless stage
-// tracking is armed.
+// redispatch after churn, retry/hedge waits.
 func (r *LatencyRecorder) WarmQueueViolations() int { return r.warmQueueViolations }
 
 // Goodput returns the number of samples that met the SLO. With no SLO
@@ -246,11 +216,10 @@ func (r *LatencyRecorder) Max() sim.Duration {
 
 // Reset discards all samples and counters, including the sort-epoch
 // counter, so a reused recorder starts a fresh one-sort-per-epoch
-// regime (tracking arming survives — it is configuration, not state).
+// regime.
 func (r *LatencyRecorder) Reset() {
 	r.samples = r.samples[:0]
 	r.violations = 0
-	r.waitViolations = 0
 	r.stageViolations = [4]int{}
 	r.warmQueueViolations = 0
 	r.sorted = true

@@ -54,59 +54,70 @@ func TestLatencyOneSortPerMutationEpoch(t *testing.T) {
 	}
 }
 
-// TestColdStageAttribution pins the two-tier attribution: the legacy
-// wait>0 counter is unconditional (manifest bytes), while the per-stage
-// and warm-queue counters only move when tracking is armed, and
-// ColdStartViolations switches from the heuristic to the precise sum.
+// TestColdStageAttribution pins the attribution model: a violating
+// sample goes to the launch stage on its critical path, or to the
+// warm-queue bucket when it waited with no launch on the path, and
+// ColdStartViolations is the stage sum.
 func TestColdStageAttribution(t *testing.T) {
-	slo := 10 * sim.Millisecond
-	viol := 50 * sim.Millisecond
-
-	// Untracked recorder: stage markers are ignored, heuristic rules.
-	r := NewLatencyRecorder("legacy", slo)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdModelLoad)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdNone) // warm queue
-	r.ObserveWaitStage(viol, 0, ColdNone)                 // pure exec violation
-	if got := r.ColdStartViolations(); got != 2 {
-		t.Fatalf("legacy ColdStartViolations = %d, want 2 (wait>0 heuristic)", got)
+	const (
+		slo  = 10 * sim.Millisecond
+		viol = 50 * sim.Millisecond
+		wait = 5 * sim.Millisecond
+	)
+	type obs struct {
+		latency, wait sim.Duration
+		stage         ColdStage
 	}
-	for st := ColdImageInit; st <= ColdKernelJIT; st++ {
-		if r.StageViolations(st) != 0 {
-			t.Fatalf("untracked recorder counted stage %v", st)
-		}
+	cases := []struct {
+		name             string
+		obs              []obs
+		image, load, jit int
+		warm, cold, all  int
+	}{
+		{name: "image init on path", obs: []obs{{viol, wait, ColdImageInit}},
+			image: 1, cold: 1, all: 1},
+		{name: "model load on path", obs: []obs{{viol, wait, ColdModelLoad}, {viol, wait, ColdModelLoad}},
+			load: 2, cold: 2, all: 2},
+		{name: "kernel JIT on path", obs: []obs{{viol, wait, ColdKernelJIT}},
+			jit: 1, cold: 1, all: 1},
+		{name: "warm queue: waited with no launch on path", obs: []obs{{viol, wait, ColdNone}},
+			warm: 1, all: 1},
+		{name: "execution violation: no wait", obs: []obs{{viol, 0, ColdNone}},
+			all: 1},
+		{name: "met SLO behind a launch", obs: []obs{{sim.Millisecond, wait, ColdModelLoad}}},
+		{name: "mixed", obs: []obs{
+			{viol, wait, ColdImageInit}, {viol, wait, ColdModelLoad}, {viol, wait, ColdModelLoad},
+			{viol, wait, ColdKernelJIT}, {viol, wait, ColdNone}, {viol, 0, ColdNone},
+			{sim.Millisecond, wait, ColdModelLoad},
+		}, image: 1, load: 2, jit: 1, warm: 1, cold: 4, all: 6},
 	}
-	if r.WarmQueueViolations() != 0 {
-		t.Fatal("untracked recorder counted warm-queue violations")
-	}
-
-	// Tracked recorder: precise attribution.
-	r = NewLatencyRecorder("staged", slo)
-	r.SetColdStageTracking(true)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdImageInit)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdModelLoad)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdModelLoad)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdKernelJIT)
-	r.ObserveWaitStage(viol, 5*sim.Millisecond, ColdNone)                 // warm queue
-	r.ObserveWaitStage(viol, 0, ColdNone)                                 // pure exec violation
-	r.ObserveWaitStage(sim.Millisecond, 5*sim.Millisecond, ColdModelLoad) // met SLO
-	if got := r.ColdStartViolations(); got != 4 {
-		t.Fatalf("tracked ColdStartViolations = %d, want 4 (stage sum)", got)
-	}
-	if r.StageViolations(ColdImageInit) != 1 || r.StageViolations(ColdModelLoad) != 2 ||
-		r.StageViolations(ColdKernelJIT) != 1 {
-		t.Fatalf("stage violations = %d/%d/%d, want 1/2/1",
-			r.StageViolations(ColdImageInit), r.StageViolations(ColdModelLoad),
-			r.StageViolations(ColdKernelJIT))
-	}
-	if got := r.WarmQueueViolations(); got != 1 {
-		t.Fatalf("WarmQueueViolations = %d, want 1", got)
-	}
-	if got := r.Violations(); got != 6 {
-		t.Fatalf("Violations = %d, want 6", got)
-	}
-	r.Reset()
-	if r.ColdStartViolations() != 0 || r.WarmQueueViolations() != 0 {
-		t.Fatal("Reset left attribution counters non-zero")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewLatencyRecorder("f", slo)
+			for _, o := range tc.obs {
+				r.ObserveWaitStage(o.latency, o.wait, o.stage)
+			}
+			if got := [3]int{r.StageViolations(ColdImageInit), r.StageViolations(ColdModelLoad),
+				r.StageViolations(ColdKernelJIT)}; got != [3]int{tc.image, tc.load, tc.jit} {
+				t.Fatalf("stage violations = %v, want %v", got, [3]int{tc.image, tc.load, tc.jit})
+			}
+			if r.StageViolations(ColdNone) != 0 {
+				t.Fatal("ColdNone counted as a stage")
+			}
+			if got := r.WarmQueueViolations(); got != tc.warm {
+				t.Fatalf("WarmQueueViolations = %d, want %d", got, tc.warm)
+			}
+			if got := r.ColdStartViolations(); got != tc.cold {
+				t.Fatalf("ColdStartViolations = %d, want %d (stage sum)", got, tc.cold)
+			}
+			if got := r.Violations(); got != tc.all {
+				t.Fatalf("Violations = %d, want %d", got, tc.all)
+			}
+			r.Reset()
+			if r.ColdStartViolations() != 0 || r.WarmQueueViolations() != 0 || r.Violations() != 0 {
+				t.Fatal("Reset left attribution counters non-zero")
+			}
+		})
 	}
 }
 

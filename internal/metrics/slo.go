@@ -21,15 +21,12 @@ type SLOFuncStats struct {
 	SLOMillis float64 `json:"slo_ms"`
 	Requests  int64   `json:"requests"`
 	// Violations counts requests over the SLO; ColdStartViolations is
-	// the subset attributed to the cold-start path — under the staged
-	// model, violations with a launch stage on the critical path;
-	// otherwise the legacy wait>0 heuristic.
+	// the subset with a launch stage on the critical path.
 	Violations          int64 `json:"violations"`
 	ColdStartViolations int64 `json:"cold_start_violations"`
-	// Per-stage attribution (staged cold-start model only): which launch
-	// phase was on the violating request's critical path, with waits
-	// that had no launch on the path split out as warm queueing. All
-	// omitempty — zero (hence absent) on the legacy path.
+	// Per-stage attribution: which launch phase was on the violating
+	// request's critical path, with waits that had no launch on the path
+	// split out as warm queueing. All omitempty — absent when zero.
 	ImageInitViolations int64 `json:"image_init_violations,omitempty"`
 	ModelLoadViolations int64 `json:"model_load_violations,omitempty"`
 	KernelJITViolations int64 `json:"kernel_jit_violations,omitempty"`
@@ -109,11 +106,12 @@ type ResilienceSLO struct {
 	QuarantineMigrations int64 `json:"quarantine_migrations,omitempty"`
 }
 
-// ColdStartSLO is the staged cold-start block of a run summary:
-// per-stage violation attribution summed over functions, warm-queue
-// waits split out, kernel-cache effectiveness, and prewarming activity.
-// Present only on runs with the stage model or prewarming configured;
-// every column is omitempty so partial activity keeps minimal bytes.
+// ColdStartSLO is the cold-start block of a run summary: per-stage
+// violation attribution summed over functions, warm-queue waits split
+// out, kernel-cache effectiveness, and prewarming activity. Absent when
+// every column is zero (a run with no cold launch and no attributed
+// violation); every column is omitempty so partial activity keeps
+// minimal bytes.
 type ColdStartSLO struct {
 	ImageInitViolations int64 `json:"image_init_violations,omitempty"`
 	ModelLoadViolations int64 `json:"model_load_violations,omitempty"`
@@ -155,8 +153,8 @@ type SLOSummary struct {
 	// that never injected a fault nor enabled retry/hedge/quarantine.
 	Resilience *ResilienceSLO `json:"resilience,omitempty"`
 
-	// ColdStart is the staged cold-start roll-up; nil for runs on the
-	// legacy scalar cold-start path.
+	// ColdStart is the cold-start roll-up; nil when it would be all
+	// zeros.
 	ColdStart *ColdStartSLO `json:"cold_start,omitempty"`
 
 	// LLM is the token-level serving roll-up; nil for runs that never
@@ -182,10 +180,8 @@ func (s *SLOSummary) ViolationRate() float64 {
 	return float64(s.Violations) / float64(s.Requests)
 }
 
-// ColdStartShare returns the fraction of violations attributed to the
-// cold-start path. Under the staged model this means a launch stage
-// was on the violating request's critical path; on the legacy path it
-// is the wait>0 heuristic, which also sweeps in warm-queueing waits.
+// ColdStartShare returns the fraction of violations with a launch stage
+// on the violating request's critical path.
 func (s *SLOSummary) ColdStartShare() float64 {
 	if s.Violations == 0 {
 		return 0

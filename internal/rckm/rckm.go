@@ -225,7 +225,7 @@ type Config struct {
 	// EmergencyCooldown is the re-entry suppression window.
 	EmergencyCooldown sim.Duration
 
-	// Ablation switches for the DESIGN.md §4.6 controller choices; all
+	// Ablation switches for the controller's stabilizing choices; all
 	// default to the stabilized controller. They exist so the ablation
 	// benches can quantify each interpretation against the naive reading
 	// of Algorithm 2.

@@ -84,10 +84,9 @@ type SLOBlock struct {
 	// manifests keep their bytes.
 	Resilience *metrics.ResilienceSLO `json:"resilience,omitempty"`
 
-	// ColdStart is the staged cold-start roll-up (per-stage violation
-	// attribution, kernel-cache hits, prewarm launches); omitted for
-	// runs on the legacy scalar cold-start path so pre-stage manifests
-	// keep their bytes.
+	// ColdStart is the cold-start roll-up (per-stage violation
+	// attribution, kernel-cache hits, prewarm launches, cold launches);
+	// omitted when all zeros.
 	ColdStart *metrics.ColdStartSLO `json:"cold_start,omitempty"`
 
 	// LLM is the token-level serving roll-up (TTFT/TPOT, token

@@ -134,13 +134,6 @@ type Options struct {
 	// memory is dropped from the score and multi-GPU LLM deployment
 	// falls back to whole fresh GPUs.
 	DisableComplementary bool
-	// KernelCacheAffinity breaks fragmentation-score ties toward GPUs
-	// whose node's kernel cache is warm for the function, so a relaunch
-	// lands where its JIT artifacts already live and the cold start
-	// shrinks. Ties only — the score itself is untouched, and with the
-	// staged cold-start model disabled every node is cold, so the
-	// refinement is inert and selection stays bit-identical.
-	KernelCacheAffinity bool
 }
 
 func (o Options) withDefaults() Options {
@@ -474,8 +467,8 @@ func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string)
 		}
 		// Lexicographic argmin of (score, kernel-cache coldness) with
 		// scan order breaking full ties — identical to the plain argmin
-		// unless cache affinity is on and a node cache is warm.
-		cold := s.cacheCold(g, fn)
+		// unless a node's kernel cache is warm.
+		cold := cacheCold(g, fn)
 		if score < bestScore || (score == bestScore && cold < bestCold) {
 			bestScore, bestCold, best = score, cold, g
 		}
@@ -484,12 +477,13 @@ func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string)
 }
 
 // cacheCold is the kernel-cache tie-break key: 0 when the GPU's node
-// holds compiled kernels for fn and cache affinity is enabled, 1
-// otherwise — so warmer nodes win score ties. With affinity off (or no
-// cache configured) every GPU keys 1 and the tie-break degenerates to
-// the historical scan/position order.
-func (s *Dilu) cacheCold(g *cluster.GPU, fn string) int {
-	if s.opts.KernelCacheAffinity && g.Node != nil && g.Node.KernelsWarm(fn) {
+// holds compiled kernels for fn, 1 otherwise — so warmer nodes win
+// score ties, and a relaunch lands where its JIT artifacts already
+// live. Ties only — the score itself is untouched. Without kernel
+// caches no node is warm, every GPU keys 1 and the tie-break
+// degenerates to the scan/position order.
+func cacheCold(g *cluster.GPU, fn string) int {
+	if g.Node != nil && g.Node.KernelsWarm(fn) {
 		return 0
 	}
 	return 1
@@ -505,8 +499,8 @@ func (s *Dilu) cacheCold(g *cluster.GPU, fn string) int {
 // Equivalence with selectOptGPU(ActiveGPUs()): that scan takes the
 // first (inventory-order) candidate achieving the minimum score, i.e.
 // the lexicographic argmin of (score, cacheCold, Pos) — the cache-
-// coldness key degenerates to a constant unless kernel-cache affinity
-// is enabled. Bucket order is arbitrary, so the same argmin is computed
+// coldness key degenerates to a constant unless a node's kernel cache
+// is warm. Bucket order is arbitrary, so the same argmin is computed
 // explicitly; and since the SM term alone satisfies score ≥ α·(1 −
 // (util + req/cap)) ≥ α·(1 − (ub + req/min-cap)) — the memory term and
 // the same-function penalty are non-negative — a bucket bound strictly
@@ -566,7 +560,7 @@ func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
 			if hosts {
 				score += 0.5
 			}
-			cold := s.cacheCold(g, fn)
+			cold := cacheCold(g, fn)
 			if score < bestScore || (score == bestScore &&
 				(cold < bestCold || (cold == bestCold && g.Pos() < bestPos))) {
 				bestScore, bestCold, bestPos, best = score, cold, g.Pos(), g

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dilu/internal/core"
+	"dilu/internal/instance"
 	"dilu/internal/model"
 	"dilu/internal/profiler"
 	"dilu/internal/scaler"
@@ -154,9 +155,9 @@ func TestAtMostOnceUnderFaultInterleavings(t *testing.T) {
 					seed, f.Name, f.Served(), unique)
 			}
 			_, adm, _ := f.GatewayCounts()
-			if adm != f.Served()+f.InFlightCount()+f.Lost() {
-				t.Fatalf("seed %d: %s ledger broken: admitted %d ≠ served %d + inflight %d + lost %d",
-					seed, f.Name, adm, f.Served(), f.InFlightCount(), f.Lost())
+			if adm != f.Served()+f.InFlightCount() {
+				t.Fatalf("seed %d: %s ledger broken: admitted %d ≠ served %d + inflight %d",
+					seed, f.Name, adm, f.Served(), f.InFlightCount())
 			}
 			if recount, extra := f.RecountInFlight(), f.ExtraCopies(); recount != f.InFlightCount()+extra {
 				t.Fatalf("seed %d: %s recount %d ≠ in-flight %d + extra copies %d",
@@ -169,51 +170,62 @@ func TestAtMostOnceUnderFaultInterleavings(t *testing.T) {
 // TestRequeueOnTeardownEliminatesLoss is the scale-in regression test:
 // under a no-keep-alive policy (Dilu's lazy scale-in, TTL 0) a burst
 // that scales out and then ebbs tears instances down mid-batch. The
-// legacy path counts the dying batch as lost; RequeueOnTeardown sends
-// it back through the gateway, so nothing is lost and every admitted
-// request is eventually served. Same seed, same arrivals, same scaler —
-// only the flag differs.
+// dying batch goes back through the gateway, so nothing is lost: the
+// armed checkers balance admitted = served + in-flight every tick, and
+// at the horizon the ledger still balances. A test checker counts the
+// instances that left the live set with a batch in flight, proving the
+// teardown path was exercised with work to requeue.
 func TestRequeueOnTeardownEliminatesLoss(t *testing.T) {
-	run := func(requeue bool) *core.System {
-		sys := core.MustSystem(core.Config{
-			Nodes: 1, GPUsPerNode: 4, Seed: 11,
-			Invariants:        Checkers(),
-			RequeueOnTeardown: requeue,
-			// Hair-trigger lazy scale-in so the underloaded tail of the
-			// run sheds instances while their batches still execute.
-			NewScaler: func() scaler.Policy {
-				return scaler.NewDilu(scaler.DiluConfig{Window: 4, PhiOut: 2, PhiIn: 2})
-			},
-		})
-		prof := profiler.For(model.ByName("VGG19"), profiler.RoleInference)
-		if _, err := sys.DeployInference("f", "VGG19", core.InferOpts{
-			Instances: 3,
-			// ~1.5× one instance's rate: under 2-instance capacity, so the
-			// scaler keeps trying to shed the third instance mid-traffic.
-			Arrivals: workload.Poisson{RPS: 1.5 * prof.ServingRPS},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sys.Run(40 * sim.Second)
-		return sys
+	midBatch := 0
+	last := map[instance.Server]int{} // live instance → in-flight at the last check
+	caught := core.Invariant{
+		Name: "teardown-mid-batch",
+		Check: func(sys *core.System, _ sim.Time) error {
+			live := map[instance.Server]int{}
+			for _, f := range sys.Functions() {
+				f.VisitInstances(func(in instance.Server, _ bool) { live[in] = in.InFlight() })
+			}
+			for in, n := range last {
+				if _, ok := live[in]; !ok && n > 0 {
+					midBatch++
+				}
+			}
+			last = live
+			return nil
+		},
 	}
+	sys := core.MustSystem(core.Config{
+		Nodes: 1, GPUsPerNode: 4, Seed: 11,
+		Invariants: append(Checkers(), caught),
+		// Hair-trigger lazy scale-in so the underloaded tail of the run
+		// sheds instances while their batches still execute.
+		NewScaler: func() scaler.Policy {
+			return scaler.NewDilu(scaler.DiluConfig{Window: 4, PhiOut: 2, PhiIn: 2})
+		},
+	})
+	prof := profiler.For(model.ByName("VGG19"), profiler.RoleInference)
+	if _, err := sys.DeployInference("f", "VGG19", core.InferOpts{
+		Instances: 3,
+		// ~1.5× one instance's rate: under 2-instance capacity, so the
+		// scaler keeps trying to shed the third instance mid-traffic.
+		Arrivals: workload.Poisson{RPS: 1.5 * prof.ServingRPS},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(40 * sim.Second)
 
-	legacy, requeued := run(false), run(true)
-	var legacyLost int64
-	for _, f := range legacy.Functions() {
-		legacyLost += f.Lost()
+	if midBatch == 0 {
+		t.Fatal("no instance was torn down mid-batch — scale-in never caught an in-flight batch, regression not exercised")
 	}
-	if legacyLost == 0 {
-		t.Fatal("legacy run lost nothing — scale-in never caught an in-flight batch, regression not exercised")
-	}
-	for _, f := range requeued.Functions() {
-		if f.Lost() != 0 {
-			t.Fatalf("requeue-on-teardown still lost %d requests", f.Lost())
-		}
+	for _, f := range sys.Functions() {
 		_, adm, _ := f.GatewayCounts()
 		if f.Served()+f.InFlightCount() != adm {
 			t.Fatalf("requeued run leaks: served %d + in-flight %d ≠ admitted %d",
 				f.Served(), f.InFlightCount(), adm)
+		}
+		if got := f.RecountInFlight(); got != f.InFlightCount() {
+			t.Fatalf("in-flight ledger %d ≠ plane recount %d — a torn-down batch vanished",
+				f.InFlightCount(), got)
 		}
 	}
 }
