@@ -7,7 +7,7 @@
 GO ?= go
 
 .PHONY: build perfbench-build test test-short test-race-subsys cover-check bench bench-quick bench-gate \
-	bench-baseline bench-hyperscale manifest-check fuzz-smoke vet fmt-check ci ci-bench nightly
+	bench-baseline bench-hyperscale manifest-check manifest-diff fuzz-smoke vet fmt-check ci ci-bench nightly
 
 build:
 	$(GO) build ./...
@@ -116,6 +116,23 @@ manifest-check:
 	$(GO) run ./cmd/dilu-bench -scale 0.1 -parallel 0 -q -manifest $(MANIFEST_DIR)/dilu-manifest-llm-parallel.json $(LLM_DRIVERS)
 	cmp $(MANIFEST_DIR)/dilu-manifest-llm-serial.json $(MANIFEST_DIR)/dilu-manifest-llm-parallel.json
 	@echo "LLM driver determinism: serial == parallel"
+
+# Manifest diff against HEAD: dilu-bench is built from HEAD (checked out
+# in a temporary git worktree) and from the working tree, each runs the
+# full registry serially at the golden scale, and the two manifests
+# must be byte-identical. The worktree and binaries are removed on exit,
+# pass or fail. A local check for changes that must keep every record,
+# not a CI gate: a correctness change may re-pin records on purpose.
+manifest-diff:
+	@tmp=$$(mktemp -d) && \
+	trap 'git worktree remove --force "$$tmp/head" 2>/dev/null; rm -rf "$$tmp"; git worktree prune' EXIT && \
+	git worktree add --detach -q "$$tmp/head" HEAD && \
+	$(GO) build -C "$$tmp/head" -o "$$tmp/dilu-bench-head" ./cmd/dilu-bench && \
+	$(GO) build -o "$$tmp/dilu-bench-work" ./cmd/dilu-bench && \
+	"$$tmp/dilu-bench-head" -scale 0.1 -parallel 1 -q -manifest "$$tmp/head.json" > /dev/null && \
+	"$$tmp/dilu-bench-work" -scale 0.1 -parallel 1 -q -manifest "$$tmp/work.json" > /dev/null && \
+	cmp "$$tmp/head.json" "$$tmp/work.json" && \
+	echo "manifest diff: working tree == HEAD"
 
 # Fuzz smoke: each fuzz target for 10 s (go test accepts one -fuzz
 # target per package per invocation, hence one line per target).

@@ -28,20 +28,9 @@ func main() {
 	flag.Parse()
 
 	clu := cluster.New(cluster.Config{Nodes: *nodes, GPUsPerNode: 4})
-	var s sched.Scheduler
-	switch *name {
-	case "Dilu":
-		s = sched.NewDilu(clu, sched.Options{Gamma: *gamma})
-	case "Exclusive":
-		s = sched.NewExclusive(clu)
-	case "INFless+-l":
-		s = sched.NewINFlessL(clu)
-	case "INFless+-r":
-		s = sched.NewINFlessR(clu)
-	case "FaST-GS+":
-		s = sched.NewFaSTGS(clu)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheduler %q\n", *name)
+	s, err := sched.New(*name, clu, sched.Options{Gamma: *gamma})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -26,26 +26,21 @@ func main() {
 		fmt.Sprintf("Placing %d instances (train:LLM:inference = 2:2:6) on 1,000 nodes", *instances),
 		"scheduler", "occupied GPUs", "SM frag %", "mem frag %", "decisions/s")
 
-	builders := []struct {
-		name string
-		mk   func(*cluster.Cluster) sched.Scheduler
-	}{
-		{"Exclusive", func(c *cluster.Cluster) sched.Scheduler { return sched.NewExclusive(c) }},
-		{"INFless+-l", func(c *cluster.Cluster) sched.Scheduler { return sched.NewINFlessL(c) }},
-		{"Dilu", func(c *cluster.Cluster) sched.Scheduler { return sched.NewDilu(c, sched.Options{}) }},
-	}
 	var exclusiveGPUs int
-	for _, b := range builders {
+	for _, name := range []string{"Exclusive", "INFless+-l", "Dilu"} {
 		clu := cluster.New(cluster.Config{Nodes: 1000, GPUsPerNode: 4})
-		s := b.mk(clu)
+		s, err := sched.New(name, clu, sched.Options{})
+		if err != nil {
+			panic(err)
+		}
 		start := time.Now()
 		placed := experiments.ScheduleBatchWith(s, *instances, 1)
 		elapsed := time.Since(start).Seconds()
 		st := clu.Snapshot()
-		if b.name == "Exclusive" {
+		if name == "Exclusive" {
 			exclusiveGPUs = st.OccupiedGPUs
 		}
-		t.AddRow(b.name, st.OccupiedGPUs, st.SMFrag*100, st.MemFrag*100,
+		t.AddRow(name, st.OccupiedGPUs, st.SMFrag*100, st.MemFrag*100,
 			float64(placed)/elapsed)
 	}
 	fmt.Print(t.String())

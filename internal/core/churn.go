@@ -38,9 +38,8 @@ type ChurnStats struct {
 func (sys *System) ChurnStats() ChurnStats { return sys.churn }
 
 // ScheduleChurn replays a node-lifecycle schedule against the system.
-// Events ride a single ScheduleSeries cursor — pointer-free, exactly
-// like arrival traces — with timestamps relative to the current virtual
-// time. The slice is cloned and sorted; callers may reuse theirs.
+// Events ride a single ScheduleSeries cursor, exactly like arrival
+// traces, with timestamps relative to the current virtual time. The slice is cloned and sorted; callers may reuse theirs.
 func (sys *System) ScheduleChurn(events []workload.ChurnEvent) {
 	if len(events) == 0 {
 		return
@@ -52,7 +51,7 @@ func (sys *System) ScheduleChurn(events []workload.ChurnEvent) {
 		times[i] = ev.At
 	}
 	cursor := 0
-	sys.Eng.ScheduleSeries(sys.Eng.Now(), times, func(now sim.Time) {
+	sys.Eng.ScheduleSeries(sys.Eng.Now(), sim.SliceCursor(times), func(now sim.Time) {
 		ev := evs[cursor]
 		cursor++
 		switch ev.Kind {

@@ -26,6 +26,31 @@ func TestSystemServesInference(t *testing.T) {
 	}
 }
 
+// TestDeployHoldsOneArrivalPending checks that a deployment's arrivals
+// are pulled as they come due: a 1000 rps Poisson deployment leaves the
+// engine a handful of pending events, not the 14.4 M arrivals of its
+// four-hour arrival horizon.
+func TestDeployHoldsOneArrivalPending(t *testing.T) {
+	sys := MustSystem(Config{Nodes: 1, GPUsPerNode: 2})
+	before := sys.Eng.Pending()
+	f, err := sys.DeployInference("rob", "RoBERTa-large", InferOpts{
+		Arrivals: workload.Poisson{RPS: 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Eng.Pending() - before; got > 4 {
+		t.Fatalf("deploying added %d pending events, want O(1)", got)
+	}
+	sys.Run(sim.Second)
+	if sub, _, _ := f.GatewayCounts(); sub < 900 {
+		t.Fatalf("submitted %d arrivals in 1 s, want ~1000", sub)
+	}
+	if got := sys.Eng.Pending(); got > 16 {
+		t.Fatalf("%d pending events after 1 s, want O(1)", got)
+	}
+}
+
 func TestSystemTrainingThroughput(t *testing.T) {
 	sys := MustSystem(Config{Nodes: 1, GPUsPerNode: 4})
 	tj, err := sys.DeployTraining("bert-t", "BERT-base", TrainOpts{Workers: 2})

@@ -40,8 +40,8 @@ type FaultStats struct {
 func (sys *System) FaultStats() FaultStats { return sys.faults }
 
 // ScheduleFaults replays a gray-failure schedule against the system.
-// Like ScheduleChurn, events ride a single pointer-free ScheduleSeries
-// cursor with timestamps relative to the current virtual time; the
+// Like ScheduleChurn, events ride a single ScheduleSeries cursor with
+// timestamps relative to the current virtual time; the
 // slice is cloned and sorted, callers may reuse theirs.
 func (sys *System) ScheduleFaults(events []workload.FaultEvent) {
 	if len(events) == 0 {
@@ -54,7 +54,7 @@ func (sys *System) ScheduleFaults(events []workload.FaultEvent) {
 		times[i] = ev.At
 	}
 	cursor := 0
-	sys.Eng.ScheduleSeries(sys.Eng.Now(), times, func(now sim.Time) {
+	sys.Eng.ScheduleSeries(sys.Eng.Now(), sim.SliceCursor(times), func(now sim.Time) {
 		ev := evs[cursor]
 		cursor++
 		switch ev.Kind {

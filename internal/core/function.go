@@ -236,16 +236,16 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 	}
 	if opts.Arrivals != nil {
 		// Arrival times are relative to the deployment moment: a
-		// function deployed mid-run starts its trace fresh. One shared
+		// function deployed mid-run starts its trace fresh. The engine
+		// pulls one arrival at a time from the cursor, and one shared
 		// callback serves every arrival — the submission time arrives as
-		// the event's `now` — so an N-request trace costs N heap slots,
-		// not N closures. Arrivals enter through the gateway like any
-		// Submit, with the deployment's tenant/priority/deadline stamped
-		// on every request.
-		base := sys.Eng.Now()
-		arr := opts.Arrivals.Generate(sys.rng.Fork(int64(len(sys.funcs)+1)), sys.remainingHorizonHint())
+		// the event's `now` — so a deployment holds one pending arrival
+		// and one closure, however long its trace. Arrivals enter
+		// through the gateway like any Submit, with the deployment's
+		// tenant/priority/deadline stamped on every request.
+		arr := opts.Arrivals.Generate(sys.rng.Fork(int64(len(sys.funcs)+1)), arrivalHorizon)
 		tmpl := Request{Func: name, Tenant: opts.Tenant, Priority: opts.Priority, Deadline: opts.Deadline}
-		sys.Eng.ScheduleSeries(base, arr, func(now sim.Time) { sys.submit(f, now, tmpl) })
+		sys.Eng.ScheduleSeries(sys.Eng.Now(), arr, func(now sim.Time) { sys.submit(f, now, tmpl) })
 	}
 	sys.funcs = append(sys.funcs, f)
 	// Last deployment wins the name (redeploy semantics); Submit resolves
@@ -259,9 +259,13 @@ func (sys *System) DeployInference(name, modelName string, opts InferOpts) (*Fun
 	return f, nil
 }
 
-// remainingHorizonHint bounds pre-generated arrivals; experiments run at
-// most a few simulated hours.
-func (sys *System) remainingHorizonHint() sim.Duration { return 4 * sim.Hour }
+// arrivalHorizon is the dur every deployment's arrival cursor is built
+// with. Cursors are pulled lazily, so it no longer costs memory or time,
+// but it stays 4 h: Bursty pre-draws its burst windows over the horizon
+// from the RNG its arrivals use, so the horizon fixes where the arrival
+// draws start, and any other value would change every Bursty
+// deployment's arrivals.
+const arrivalHorizon = 4 * sim.Hour
 
 // inject delivers one admitted request into the serving plane. It is
 // the gateway's dispatch step — System.Submit is the public entry

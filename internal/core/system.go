@@ -10,8 +10,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dilu/internal/cluster"
 	"dilu/internal/gpu"
 	"dilu/internal/instance"
@@ -208,19 +206,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if defaultInvariantFactory != nil {
 		sys.invariants = append(sys.invariants, defaultInvariantFactory()...)
 	}
-	switch cfg.Scheduler {
-	case "Dilu":
-		sys.scheduler = sched.NewDilu(clu, cfg.SchedOpts)
-	case "Exclusive":
-		sys.scheduler = sched.NewExclusive(clu)
-	case "INFless+-l":
-		sys.scheduler = sched.NewINFlessL(clu)
-	case "INFless+-r":
-		sys.scheduler = sched.NewINFlessR(clu)
-	case "FaST-GS+":
-		sys.scheduler = sched.NewFaSTGS(clu)
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %q", cfg.Scheduler)
+	if sys.scheduler, err = sched.New(cfg.Scheduler, clu, cfg.SchedOpts); err != nil {
+		return nil, err
 	}
 	for _, g := range clu.GPUs() {
 		m := rckm.NewManager(g.Dev, policy, cfg.RCKM)

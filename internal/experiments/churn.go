@@ -40,15 +40,13 @@ func HeteroMix(opts Options) *report.Report {
 	rep := report.New("hetero_mix", "Heterogeneous fleet placement (70/30 big/small GPUs, extra)")
 	horizon := 3600 * sim.Second
 	mix := largeScaleMix(3200, horizon, sim.NewRNG(opts.Seed))
-	order := []string{"Exclusive", "INFless+-l", "Dilu"}
-	scheds := figure17Schedulers()
 	t := rep.AddTable(report.NewTable(
 		"Heterogeneous mix. Occupancy, fragmentation and capacity-weighted cost",
 		"scheduler", "placed", "peak GPUs", "SM frag", "mem frag",
 		"GPU-hours", "cap-hours", "cost vs Exclusive", "occ big", "occ small"))
 	var exclusiveCapH float64
-	for _, name := range order {
-		r := runLargeScaleClu(scheds[name], mix, horizon, cluster.Config{
+	for _, name := range figure17Schedulers {
+		r := runLargeScaleClu(schedulerByName(name), mix, horizon, cluster.Config{
 			Nodes: 1000, GPUsPerNode: 4, Classes: heteroClasses(),
 		})
 		opts.Meter.AddVirtual(horizon)

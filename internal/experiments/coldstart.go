@@ -208,7 +208,7 @@ func PrewarmPolicy(opts Options) *report.Report {
 				return (0.15 + 2.85*frac) * cap
 			},
 		}
-		loads[i] = workload.Times{Label: "ramp/" + m, T: ramp.Generate(rng, dur)}
+		loads[i] = workload.Times{Label: "ramp/" + m, T: workload.Take(ramp, rng, dur)}
 	}
 
 	arms := []struct {

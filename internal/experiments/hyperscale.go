@@ -33,14 +33,12 @@ func Hyperscale(opts Options) *report.Report {
 	}
 	horizon := 3600 * sim.Second
 	mix := largeScaleMix(total, horizon, sim.NewRNG(opts.Seed))
-	order := []string{"Exclusive", "INFless+-l", "Dilu"}
-	scheds := figure17Schedulers()
 	t := rep.AddTable(report.NewTable(
 		"Hyperscale. Occupancy and fragmentation at cluster ×10",
 		"scheduler", "placed", "peak GPUs", "SM frag", "mem frag", "GPU-hours", "cost vs Exclusive"))
 	var exclusiveGPUh float64
-	for _, name := range order {
-		occ, stats, gpuSeconds, placed := runLargeScaleOn(scheds[name], mix, horizon, nodes)
+	for _, name := range figure17Schedulers {
+		occ, stats, gpuSeconds, placed := runLargeScaleOn(schedulerByName(name), mix, horizon, nodes)
 		opts.Meter.AddVirtual(horizon)
 		gpuH := gpuSeconds / 3600
 		if name == "Exclusive" {
@@ -78,7 +76,7 @@ func HyperscaleMax(opts Options) *report.Report {
 		"Hyperscale ceiling. One Dilu run at cluster ×62",
 		"scheduler", "GPUs", "placed", "peak GPUs", "SM frag", "mem frag", "GPU-hours"))
 	occ, stats, gpuSeconds, placed := runLargeScaleOn(
-		figure17Schedulers()["Dilu"], mix, horizon, nodes)
+		schedulerByName("Dilu"), mix, horizon, nodes)
 	opts.Meter.AddVirtual(horizon)
 	t.AddRow("Dilu", nodes*4, placed, occ.Max(), stats.SMFrag, stats.MemFrag, gpuSeconds/3600)
 	rep.AddSeries(occ.Downsample(120 * sim.Second))
@@ -93,9 +91,9 @@ func HyperscaleMax(opts Options) *report.Report {
 // occupancy story.
 func HyperscaleScheduleBatch(nodes, n int, seed int64) map[string]int {
 	out := make(map[string]int, 3)
-	for name, mk := range figure17Schedulers() {
+	for _, name := range figure17Schedulers {
 		clu := cluster.New(cluster.Config{Nodes: nodes, GPUsPerNode: 4})
-		out[name] = ScheduleBatchWith(mk(clu), n, seed)
+		out[name] = ScheduleBatchWith(schedulerByName(name)(clu), n, seed)
 	}
 	return out
 }

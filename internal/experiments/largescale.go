@@ -175,12 +175,19 @@ func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstanc
 		gpuSeconds: gpuSeconds, capSeconds: capSeconds, placed: placedCount}
 }
 
-// figure17Schedulers builds the three §5.5 comparison schedulers.
-func figure17Schedulers() map[string]func(*cluster.Cluster) sched.Scheduler {
-	return map[string]func(*cluster.Cluster) sched.Scheduler{
-		"Exclusive":  func(c *cluster.Cluster) sched.Scheduler { return sched.NewExclusive(c) },
-		"INFless+-l": func(c *cluster.Cluster) sched.Scheduler { return sched.NewINFlessL(c) },
-		"Dilu":       func(c *cluster.Cluster) sched.Scheduler { return sched.NewDilu(c, sched.Options{}) },
+// figure17Schedulers are the three §5.5 comparison schedulers, in
+// report order.
+var figure17Schedulers = []string{"Exclusive", "INFless+-l", "Dilu"}
+
+// schedulerByName returns a constructor for the named scheduler with
+// default options.
+func schedulerByName(name string) func(*cluster.Cluster) sched.Scheduler {
+	return func(c *cluster.Cluster) sched.Scheduler {
+		s, err := sched.New(name, c, sched.Options{})
+		if err != nil {
+			panic(err)
+		}
+		return s
 	}
 }
 
@@ -192,14 +199,12 @@ func Figure17(opts Options) *report.Report {
 	horizon := 3600 * sim.Second
 	rng := sim.NewRNG(opts.Seed)
 	mix := largeScaleMix(3200, horizon, rng)
-	order := []string{"Exclusive", "INFless+-l", "Dilu"}
-	scheds := figure17Schedulers()
 	t := rep.AddTable(report.NewTable(
 		"Figure 17. Occupancy and fragmentation at 3,200 instances",
 		"scheduler", "peak GPUs", "SM frag", "mem frag", "GPU-hours", "cost vs Exclusive"))
 	var exclusiveGPUh float64
-	for _, name := range order {
-		occ, stats, gpuSeconds := runLargeScale(scheds[name], mix, horizon)
+	for _, name := range figure17Schedulers {
+		occ, stats, gpuSeconds := runLargeScale(schedulerByName(name), mix, horizon)
 		opts.Meter.AddVirtual(horizon)
 		gpuH := gpuSeconds / 3600
 		if name == "Exclusive" {

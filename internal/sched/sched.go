@@ -12,6 +12,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 
@@ -88,6 +89,24 @@ type Scheduler interface {
 	Name() string
 	Cluster() *cluster.Cluster
 	Schedule(req Request) ([]Decision, error)
+}
+
+// New builds the scheduler with the given evaluation label over a
+// cluster. opts tunes Dilu and is ignored by the baselines.
+func New(name string, clu *cluster.Cluster, opts Options) (Scheduler, error) {
+	switch name {
+	case "Dilu":
+		return NewDilu(clu, opts), nil
+	case "Exclusive":
+		return NewExclusive(clu), nil
+	case "INFless+-l":
+		return NewINFlessL(clu), nil
+	case "INFless+-r":
+		return NewINFlessR(clu), nil
+	case "FaST-GS+":
+		return NewFaSTGS(clu), nil
+	}
+	return nil, fmt.Errorf("sched: unknown scheduler %q", name)
 }
 
 // ErrNoCapacity is returned when no GPU (active or fresh) satisfies the

@@ -327,3 +327,19 @@ func TestDiluConstraintsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNewByName(t *testing.T) {
+	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 1})
+	for _, n := range []string{"Dilu", "Exclusive", "INFless+-l", "INFless+-r", "FaST-GS+"} {
+		s, err := New(n, clu, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name() != n || s.Cluster() != clu {
+			t.Fatalf("scheduler %q reports name %q", n, s.Name())
+		}
+	}
+	if _, err := New("bogus", clu, Options{}); err == nil {
+		t.Fatal("expected error")
+	}
+}

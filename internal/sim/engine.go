@@ -15,6 +15,10 @@
 //     per-event allocation behind container/heap's interface{} API.
 //     Pop order is totally determined by (time, sequence), so the heap's
 //     internal arrangement never affects behaviour.
+//   - A long event series (a function's request arrivals, a churn or
+//     fault schedule) is pulled from a Cursor one entry at a time
+//     (ScheduleSeries): the queue holds only the series' head, so memory
+//     does not grow with the series' length or horizon.
 //   - Tickers registered through AddDynamicTicker carry an activity bit.
 //     While every dynamic ticker is inactive (and no always-active ticker
 //     exists), Run fast-forwards virtual time straight to the next event
@@ -132,25 +136,48 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// eventStream is a pre-generated, time-sorted series of callbacks to one
-// shared function (a request-arrival trace). It is consumed by cursor:
-// the engine merges stream heads with the heap top by (at, seq), so the
-// series behaves exactly as if each entry had been Scheduled
-// individually at registration — same seq range, same tie order — while
-// costing one cursor instead of len(times) heap slots, and keeping the
-// times array pointer-free (the GC never scans it).
-type eventStream struct {
-	base  Time
-	times []Time
-	seq0  uint64
-	next  int
-	fn    func(Time)
+// Cursor yields the entries of an event series one at a time, in
+// non-decreasing order; ok=false ends the series, after which the cursor
+// is not called again.
+type Cursor func() (at Time, ok bool)
+
+// SliceCursor returns a cursor over a sorted slice. It reads ts in place;
+// the caller must not modify it while the cursor is live.
+func SliceCursor(ts []Time) Cursor {
+	i := 0
+	return func() (Time, bool) {
+		if i == len(ts) {
+			return 0, false
+		}
+		i++
+		return ts[i-1], true
+	}
 }
 
-// head returns the stream's next event; valid only while next is in
-// range.
-func (s *eventStream) head() event {
-	return event{at: s.base + s.times[s.next], seq: s.seq0 + uint64(s.next), fn: s.fn}
+// series is one ScheduleSeries registration. Only its head lives in the
+// heap, always under the one seq the series took when it was
+// registered; firing the head pulls the next entry and pushes it back
+// under the same seq.
+type series struct {
+	e    *Engine
+	base Time
+	seq  uint64
+	next Cursor
+	fn   func(Time)
+	last Time       // offset of the current head, for the order check
+	fire func(Time) // s.pull as a method value, bound once per series
+}
+
+// pull advances the series past its fired head, then runs its callback.
+func (s *series) pull(now Time) {
+	if t, ok := s.next(); ok {
+		if t < s.last {
+			panic("sim: ScheduleSeries times must be non-decreasing")
+		}
+		s.last = t
+		s.e.events.push(event{at: s.base + t, seq: s.seq, fn: s.fire})
+	}
+	s.fn(now)
 }
 
 // Ticker is a component invoked on every fixed simulation tick, in
@@ -207,7 +234,6 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	streams []eventStream
 	tickers []tickerEntry
 	// activeTickers counts tickers with active=true; when it is zero the
 	// Run loop fast-forwards across tick boundaries.
@@ -275,95 +301,32 @@ func (e *Engine) Schedule(at Time, fn func(Time)) {
 // After registers fn to run d after the current virtual time.
 func (e *Engine) After(d Duration, fn func(Time)) { e.Schedule(e.now+d, fn) }
 
-// ScheduleSeries registers fn to run at base+times[i] for every entry of
-// times, which must be non-decreasing with base+times[0] not in the
-// past. It is equivalent to calling Schedule(base+t, fn) for each t — the
-// events occupy the same sequence range, so ordering against other
-// events (including exact-time ties) is identical — but holds the series
-// as a cursor over the caller's slice instead of filling the heap. The
-// engine takes ownership of times; the caller must not modify it.
-func (e *Engine) ScheduleSeries(base Time, times []Time, fn func(Time)) {
-	if len(times) == 0 {
+// ScheduleSeries registers fn to run at base+t for every t that next
+// yields. It is equivalent to calling Schedule(base+t, fn) for each t at
+// registration, but holds only the series' head in the queue and pulls
+// each further entry when the one before it fires. The series takes a
+// single seq at registration and its head orders by (time, that seq):
+// since a series' entries are in time order, this is exactly the order
+// individual Schedules would give, exact-time ties with other events and
+// other series included. Pulling panics if the series starts in the
+// past or goes back in time.
+func (e *Engine) ScheduleSeries(base Time, next Cursor, fn func(Time)) {
+	t, ok := next()
+	if !ok {
 		return
 	}
-	if base+times[0] < e.now {
+	if base+t < e.now {
 		panic("sim: ScheduleSeries starts in the past")
 	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			panic("sim: ScheduleSeries times must be non-decreasing")
-		}
-	}
-	e.streams = append(e.streams, eventStream{
-		base: base, times: times, seq0: e.seq + 1, fn: fn,
-	})
-	e.seq += uint64(len(times))
+	e.seq++
+	s := &series{e: e, base: base, seq: e.seq, next: next, fn: fn, last: t}
+	s.fire = s.pull
+	e.events.push(event{at: base + t, seq: s.seq, fn: s.fire})
 }
 
-// Pending reports the number of queued one-shot events, including
-// unconsumed series entries.
-func (e *Engine) Pending() int {
-	n := len(e.events)
-	for i := range e.streams {
-		n += len(e.streams[i].times) - e.streams[i].next
-	}
-	return n
-}
-
-// earliestAt returns the time of the earliest pending event across the
-// heap and the streams.
-func (e *Engine) earliestAt() (Time, bool) {
-	var at Time
-	have := false
-	if len(e.events) > 0 {
-		at, have = e.events[0].at, true
-	}
-	for i := range e.streams {
-		s := &e.streams[i]
-		if s.next < len(s.times) {
-			if h := s.base + s.times[s.next]; !have || h < at {
-				at, have = h, true
-			}
-		}
-	}
-	return at, have
-}
-
-// popDue removes and returns the earliest pending event if it is due at
-// or before bound. Drained streams are dropped as they surface.
-func (e *Engine) popDue(bound Time) (event, bool) {
-	src := -1 // -1: heap
-	var best event
-	have := false
-	if len(e.events) > 0 {
-		best, have = e.events[0], true
-	}
-	for i := 0; i < len(e.streams); {
-		s := &e.streams[i]
-		if s.next >= len(s.times) {
-			// Drained; release the series (order among sources is
-			// irrelevant — (at, seq) decides everything).
-			last := len(e.streams) - 1
-			e.streams[i] = e.streams[last]
-			e.streams[last] = eventStream{}
-			e.streams = e.streams[:last]
-			continue
-		}
-		if h := s.head(); !have || h.less(best) {
-			best, src, have = h, i, true
-		}
-		i++
-	}
-	if !have || best.at > bound {
-		return event{}, false
-	}
-	if src < 0 {
-		e.events.pop()
-	} else {
-		e.streams[src].next++
-	}
-	return best, true
-}
+// Pending reports the number of queued one-shot events plus one head per
+// live series.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Run advances virtual time until `until`, executing every due event and
 // fixed tick in deterministic order: all events at or before a tick boundary
@@ -380,8 +343,8 @@ func (e *Engine) Run(until Time) {
 			// tick lattice forward to the first boundary at or after the
 			// next event (or the horizon), preserving phase.
 			target := until
-			if at, ok := e.earliestAt(); ok && at < target {
-				target = at
+			if len(e.events) > 0 && e.events[0].at < target {
+				target = e.events[0].at
 			}
 			if target > e.nextTick {
 				k := (target - e.nextTick + e.period - 1) / e.period
@@ -393,11 +356,8 @@ func (e *Engine) Run(until Time) {
 			boundary = until
 		}
 		// Drain events due at or before the boundary.
-		for {
-			ev, ok := e.popDue(boundary)
-			if !ok {
-				break
-			}
+		for len(e.events) > 0 && e.events[0].at <= boundary {
+			ev := e.events.pop()
 			e.now = ev.at
 			ev.fn(e.now)
 		}

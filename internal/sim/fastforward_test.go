@@ -155,31 +155,40 @@ func TestStepWithInactiveTickers(t *testing.T) {
 }
 
 // TestScheduleSeriesMatchesIndividualSchedules drives two engines with
-// the same arrival trace — one via ScheduleSeries, one via a Schedule
-// call per arrival — interleaved with competing same-time events, and
-// requires the exact same execution order (series entries occupy the
-// same sequence range, so ties resolve identically).
+// the same two arrival series — one via pulled ScheduleSeries cursors,
+// one via a Schedule call per arrival — interleaved with competing
+// same-time events scheduled before, between and after the two
+// registrations, and requires the exact same execution order: each
+// series' head orders by the one seq it took at registration, so ties
+// resolve as if every entry had been scheduled there.
 func TestScheduleSeriesMatchesIndividualSchedules(t *testing.T) {
-	times := []Time{Millisecond, 5 * Millisecond, 5 * Millisecond, 12 * Millisecond}
+	first := []Time{Millisecond, 5 * Millisecond, 5 * Millisecond, 12 * Millisecond}
+	second := []Time{5 * Millisecond, 5 * Millisecond, 9 * Millisecond}
 
 	run := func(series bool) []string {
 		e := NewEngine()
 		var got []string
-		e.Schedule(5*Millisecond, func(Time) { got = append(got, "pre") })
-		if series {
-			e.ScheduleSeries(0, times, func(now Time) { got = append(got, "arr@"+now.String()) })
-		} else {
+		register := func(label string, times []Time) {
+			fn := func(now Time) { got = append(got, label+"@"+now.String()) }
+			if series {
+				e.ScheduleSeries(0, SliceCursor(times), fn)
+				return
+			}
 			for _, at := range times {
-				e.Schedule(at, func(now Time) { got = append(got, "arr@"+now.String()) })
+				e.Schedule(at, fn)
 			}
 		}
+		e.Schedule(5*Millisecond, func(Time) { got = append(got, "pre") })
+		register("a", first)
+		e.Schedule(5*Millisecond, func(Time) { got = append(got, "mid") })
+		register("b", second)
 		e.Schedule(5*Millisecond, func(Time) { got = append(got, "post") })
 		e.Run(20 * Millisecond)
 		return got
 	}
 
 	a, b := run(true), run(false)
-	if len(a) != len(b) {
+	if len(a) != len(b) || len(a) != 3+len(first)+len(second) {
 		t.Fatalf("series=%v individual=%v", a, b)
 	}
 	for i := range a {
@@ -189,20 +198,51 @@ func TestScheduleSeriesMatchesIndividualSchedules(t *testing.T) {
 	}
 }
 
-// TestScheduleSeriesPending verifies Pending accounts for unconsumed
-// series entries and that drained series are released.
+// TestScheduleSeriesPending verifies Pending counts one head per live
+// series, however long the series, and that drained series are released.
 func TestScheduleSeriesPending(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleSeries(0, []Time{Millisecond, 2 * Millisecond, 8 * Millisecond}, func(Time) {})
-	if got := e.Pending(); got != 3 {
-		t.Fatalf("Pending = %d, want 3", got)
+	e.ScheduleSeries(0, SliceCursor([]Time{Millisecond, 2 * Millisecond, 8 * Millisecond}), func(Time) {})
+	e.Schedule(6*Millisecond, func(Time) {})
+	if got := e.Pending(); got != 2 {
+		t.Fatalf("Pending = %d, want 2 (one head + one event)", got)
 	}
 	e.Run(4 * Millisecond)
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
+	if got := e.Pending(); got != 2 {
+		t.Fatalf("Pending = %d, want 2", got)
 	}
 	e.Run(10 * Millisecond)
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending = %d, want 0", got)
 	}
+}
+
+// TestScheduleSeriesPullChecks verifies the series' order checks fire
+// when the offending entry is pulled.
+func TestScheduleSeriesPullChecks(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("starts in the past", func() {
+		e := NewEngine()
+		e.Run(10 * Millisecond)
+		e.ScheduleSeries(0, SliceCursor([]Time{5 * Millisecond}), func(Time) {})
+	})
+	mustPanic("goes back in time", func() {
+		e := NewEngine()
+		e.ScheduleSeries(0, SliceCursor([]Time{Millisecond, 3 * Millisecond, 2 * Millisecond}), func(Time) {})
+		e.Run(10 * Millisecond)
+	})
+	e := NewEngine()
+	e.ScheduleSeries(0, SliceCursor(nil), func(Time) { t.Fatal("empty series fired") })
+	if e.Pending() != 0 {
+		t.Fatal("empty series left a head")
+	}
+	e.Run(10 * Millisecond)
 }

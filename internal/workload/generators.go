@@ -56,7 +56,7 @@ func (d Diurnal) rate(u float64) float64 {
 }
 
 // Generate implements Arrivals.
-func (d Diurnal) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (d Diurnal) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	period := d.Period
 	if period <= 0 {
 		period = 240 * sim.Second
@@ -90,9 +90,9 @@ type Pareto struct {
 func (p Pareto) Name() string { return "pareto" }
 
 // Generate implements Arrivals.
-func (p Pareto) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (p Pareto) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	if p.RPS <= 0 {
-		return nil
+		return none
 	}
 	alpha := p.Alpha
 	if alpha <= 1 {
@@ -100,26 +100,15 @@ func (p Pareto) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 	}
 	// Mean gap of Pareto(α, x_m) is α·x_m/(α−1); match it to 1/RPS.
 	xm := (alpha - 1) / (alpha * p.RPS)
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.Pareto(alpha, xm))
-		if t >= dur {
-			return out
-		}
-		out = append(out, t)
-	}
+	return renewal(dur, func() sim.Duration { return sim.FromSeconds(rng.Pareto(alpha, xm)) })
 }
 
 // TenantArrivals is one tenant's share of a multi-tenant mix.
 type TenantArrivals struct {
 	// Tenant is the structured tenant identity, for core.InferOpts.Tenant
-	// / core.Request.Tenant — the gateway's accounting key.
+	// / core.Request.Tenant — the gateway's accounting key — and the
+	// tenant's function name.
 	Tenant string
-	// Name is the per-tenant function name. It equals Tenant (the
-	// pre-gateway name-mangled encoding), kept as a separate field so
-	// deployments that predate structured tenancy stay byte-identical.
-	Name   string
 	Weight float64 // popularity share in (0,1], Σ = 1
 	Times  []sim.Time
 }
@@ -171,27 +160,11 @@ func (m TenantMix) Split(rng *sim.RNG, dur sim.Duration) []TenantArrivals {
 		} else {
 			arr = Poisson{RPS: rps}
 		}
-		id := fmt.Sprintf("tenant-%02d", i)
 		out[i] = TenantArrivals{
-			Tenant: id,
-			Name:   id,
+			Tenant: fmt.Sprintf("tenant-%02d", i),
 			Weight: w,
-			Times:  arr.Generate(rng.Fork(int64(i+1)), dur),
+			Times:  Take(arr, rng.Fork(int64(i+1)), dur),
 		}
 	}
 	return out
-}
-
-// Name implements Arrivals for the aggregate mix.
-func (m TenantMix) Name() string { return "tenant-mix" }
-
-// Generate implements Arrivals: the merged arrival sequence of every
-// tenant (the aggregate offered load).
-func (m TenantMix) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
-	split := m.Split(rng, dur)
-	seqs := make([][]sim.Time, len(split))
-	for i, t := range split {
-		seqs[i] = t.Times
-	}
-	return Merge(seqs...)
 }

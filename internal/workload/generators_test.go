@@ -10,7 +10,7 @@ import (
 
 func TestDiurnalShape(t *testing.T) {
 	d := Diurnal{TroughRPS: 2, DayRPS: 40, PeakBoost: 0.5, Period: 240 * sim.Second}
-	arr := d.Generate(sim.NewRNG(11), 240*sim.Second)
+	arr := Take(d, sim.NewRNG(11), 240*sim.Second)
 	if !sortedTimes(arr) {
 		t.Fatal("not sorted")
 	}
@@ -35,11 +35,11 @@ func TestDiurnalShape(t *testing.T) {
 }
 
 func TestDiurnalDefaultsAndZero(t *testing.T) {
-	if got := (Diurnal{}).Generate(sim.NewRNG(1), sim.Minute); got != nil {
+	if got := Take(Diurnal{}, sim.NewRNG(1), sim.Minute); got != nil {
 		t.Fatal("zero rates must generate nothing")
 	}
 	// Zero period/boost take defaults without panicking.
-	arr := Diurnal{TroughRPS: 1, DayRPS: 10}.Generate(sim.NewRNG(2), 300*sim.Second)
+	arr := Take(Diurnal{TroughRPS: 1, DayRPS: 10}, sim.NewRNG(2), 300*sim.Second)
 	if len(arr) == 0 {
 		t.Fatal("no arrivals with defaults")
 	}
@@ -47,12 +47,12 @@ func TestDiurnalDefaultsAndZero(t *testing.T) {
 
 func TestParetoMeanRateAndTail(t *testing.T) {
 	p := Pareto{RPS: 20, Alpha: 1.5}
-	arr := p.Generate(sim.NewRNG(5), 600*sim.Second)
+	arr := Take(p, sim.NewRNG(5), 600*sim.Second)
 	if !sortedTimes(arr) {
 		t.Fatal("not sorted")
 	}
 	// Heavy tails converge slowly; accept a loose band around the target.
-	rate := MeanRPS(arr, 600*sim.Second)
+	rate := meanRPS(arr, 600*sim.Second)
 	if rate < 8 || rate > 40 {
 		t.Fatalf("mean rate %.1f, want roughly 20", rate)
 	}
@@ -73,11 +73,11 @@ func TestParetoMeanRateAndTail(t *testing.T) {
 }
 
 func TestParetoClampsAlpha(t *testing.T) {
-	if got := (Pareto{RPS: 0}).Generate(sim.NewRNG(1), sim.Minute); got != nil {
+	if got := Take(Pareto{RPS: 0}, sim.NewRNG(1), sim.Minute); got != nil {
 		t.Fatal("zero RPS must be empty")
 	}
 	// α ≤ 1 clamps instead of dividing by zero.
-	arr := Pareto{RPS: 10, Alpha: 0.5}.Generate(sim.NewRNG(3), sim.Minute)
+	arr := Take(Pareto{RPS: 10, Alpha: 0.5}, sim.NewRNG(3), sim.Minute)
 	if !sortedTimes(arr) {
 		t.Fatal("not sorted")
 	}
@@ -130,11 +130,8 @@ func TestTenantMixSplitSkewed(t *testing.T) {
 		if !sortedTimes(ta.Times) {
 			t.Fatalf("tenant %d not sorted", i)
 		}
-		if ta.Name == "" || ta.Weight <= 0 {
+		if ta.Tenant == "" || ta.Weight <= 0 {
 			t.Fatalf("tenant %d metadata: %+v", i, ta)
-		}
-		if ta.Tenant != ta.Name {
-			t.Fatalf("tenant %d: structured ID %q diverged from name %q", i, ta.Tenant, ta.Name)
 		}
 	}
 	// Determinism: same seed, same split.
@@ -146,7 +143,7 @@ func TestTenantMixSplitSkewed(t *testing.T) {
 	}
 }
 
-func TestTenantMixCustomShapeAndMerge(t *testing.T) {
+func TestTenantMixCustomShape(t *testing.T) {
 	m := TenantMix{
 		Tenants: 3, TotalRPS: 30, Skew: 1,
 		Shape: func(i int, rps float64) Arrivals {
@@ -156,17 +153,16 @@ func TestTenantMixCustomShapeAndMerge(t *testing.T) {
 			return Poisson{RPS: rps}
 		},
 	}
-	merged := m.Generate(sim.NewRNG(9), 120*sim.Second)
-	if !sortedTimes(merged) {
-		t.Fatal("merged mix not sorted")
-	}
-	split := m.Split(sim.NewRNG(9), 120*sim.Second)
-	var n int
-	for _, ta := range split {
-		n += len(ta.Times)
-	}
-	if n != len(merged) {
-		t.Fatalf("merge lost events: %d vs %d", len(merged), n)
+	const dur = 120 * sim.Second
+	split := m.Split(sim.NewRNG(9), dur)
+	// Each tenant draws its shape at its share of the rate from its own
+	// fork of the RNG, forked in tenant order.
+	rng := sim.NewRNG(9)
+	for i, ta := range split {
+		want := Take(m.Shape(i, m.TotalRPS*ta.Weight), rng.Fork(int64(i+1)), dur)
+		if len(want) == 0 || !slices.Equal(ta.Times, want) {
+			t.Fatalf("tenant %d: %d arrivals, want the shape's %d", i, len(ta.Times), len(want))
+		}
 	}
 }
 
@@ -176,23 +172,9 @@ func TestTenantMixCustomShapeAndMerge(t *testing.T) {
 // past the last burst window of the previous run.
 func TestBurstyReplayIdentical(t *testing.T) {
 	b := Bursty{BaseRPS: 10, Scale: 5, BurstDur: 10 * sim.Second, Quiet: 30 * sim.Second}
-	first := b.Generate(sim.NewRNG(42), 200*sim.Second)
-	second := b.Generate(sim.NewRNG(42), 200*sim.Second)
+	first := Take(b, sim.NewRNG(42), 200*sim.Second)
+	second := Take(b, sim.NewRNG(42), 200*sim.Second)
 	if !slices.Equal(first, second) {
 		t.Fatalf("replay diverged: %d vs %d arrivals", len(first), len(second))
-	}
-}
-
-// TestRateFuncResetRewindsCursor exercises the reuse hazard directly: a
-// RateFunc whose RPS closure keeps a monotone cursor is Generated twice
-// from the same value. Without Reset the second run would start with the
-// cursor past every window and see only the base rate.
-func TestRateFuncResetRewindsCursor(t *testing.T) {
-	b := Bursty{BaseRPS: 10, Scale: 6, BurstDur: 20 * sim.Second, Quiet: 30 * sim.Second}
-	rf := b.rateFunc(sim.NewRNG(8), 300*sim.Second)
-	first := rf.Generate(sim.NewRNG(1), 300*sim.Second)
-	second := rf.Generate(sim.NewRNG(1), 300*sim.Second)
-	if !slices.Equal(first, second) {
-		t.Fatalf("reused RateFunc diverged: %d vs %d arrivals", len(first), len(second))
 	}
 }

@@ -19,7 +19,7 @@ func TestRateFuncTracksRate(t *testing.T) {
 		},
 		Peak: 50,
 	}
-	arr := rf.Generate(sim.NewRNG(3), 200*sim.Second)
+	arr := Take(rf, sim.NewRNG(3), 200*sim.Second)
 	var lo, hi int
 	for _, a := range arr {
 		if a < 100*sim.Second {
@@ -38,7 +38,7 @@ func TestRateFuncTracksRate(t *testing.T) {
 
 func TestRateFuncZeroPeak(t *testing.T) {
 	rf := RateFunc{Label: "z", RPS: func(sim.Time) float64 { return 10 }, Peak: 0}
-	if got := rf.Generate(sim.NewRNG(1), sim.Minute); got != nil {
+	if got := Take(rf, sim.NewRNG(1), sim.Minute); got != nil {
 		t.Fatal("zero peak should generate nothing")
 	}
 }
@@ -49,24 +49,9 @@ func TestRateFuncName(t *testing.T) {
 	}
 }
 
-func TestOfferedRPSEmptyAndZeroWindow(t *testing.T) {
-	if OfferedRPS(nil, 0, sim.Minute) != nil {
-		t.Fatal("zero window should return nil")
-	}
-	if OfferedRPS(nil, sim.Second, 500*sim.Millisecond) != nil {
-		t.Fatal("sub-window horizon should return nil")
-	}
-}
-
-func TestMeanRPSZeroDuration(t *testing.T) {
-	if MeanRPS([]sim.Time{1, 2}, 0) != 0 {
-		t.Fatal("zero duration should be 0")
-	}
-}
-
 func TestBurstyDefaultsApplied(t *testing.T) {
 	// Zero BurstDur/Quiet take documented defaults without panicking.
-	arr := Bursty{BaseRPS: 5, Scale: 3}.Generate(sim.NewRNG(2), 120*sim.Second)
+	arr := Take(Bursty{BaseRPS: 5, Scale: 3}, sim.NewRNG(2), 120*sim.Second)
 	if len(arr) == 0 {
 		t.Fatal("no arrivals with defaults")
 	}
@@ -75,7 +60,7 @@ func TestBurstyDefaultsApplied(t *testing.T) {
 func TestPeriodicNeverNegativeRate(t *testing.T) {
 	// Amp > 1 would push the sinusoid negative; the generator clamps.
 	p := Periodic{BaseRPS: 10, Amp: 2, Period: 20 * sim.Second}
-	arr := p.Generate(sim.NewRNG(4), 100*sim.Second)
+	arr := Take(p, sim.NewRNG(4), 100*sim.Second)
 	if len(arr) == 0 {
 		t.Fatal("no arrivals")
 	}

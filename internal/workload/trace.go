@@ -28,8 +28,8 @@ type TraceEvent struct {
 // Trace is an external arrival recording replayed against the system —
 // the production counterpart of the synthetic generators. Events are
 // sorted by (At, Func); per-function subsequences compile down to plain
-// []sim.Time slices, so replay rides the pointer-free
-// sim.Engine.ScheduleSeries cursor exactly like generated workloads.
+// []sim.Time slices, so replay rides a sim.Engine.ScheduleSeries cursor
+// exactly like generated workloads.
 type Trace struct {
 	Label  string
 	Events []TraceEvent
@@ -79,7 +79,7 @@ func (t *Trace) Functions() []string {
 }
 
 // Compile extracts the function's arrival times as a fresh, sorted
-// []sim.Time — the exact shape sim.Engine.ScheduleSeries consumes.
+// []sim.Time, which Times replays through a sim.SliceCursor.
 func (t *Trace) Compile(fn string) []sim.Time {
 	var out []sim.Time
 	for _, e := range t.Events {
@@ -99,8 +99,9 @@ func (t *Trace) Arrivals(fn string) Arrivals {
 
 // Times is a pre-materialized arrival sequence wrapped as an Arrivals
 // source (trace replay, tenant-mix splits). Generate ignores the RNG and
-// returns a copy of the prefix inside the horizon, so one Times value can
-// feed engines running in parallel.
+// returns a cursor that reads the prefix inside the horizon in place;
+// cursors never write T, so one Times value can feed engines running in
+// parallel.
 type Times struct {
 	Label string
 	T     []sim.Time
@@ -110,14 +111,9 @@ type Times struct {
 func (ts Times) Name() string { return ts.Label }
 
 // Generate implements Arrivals.
-func (ts Times) Generate(_ *sim.RNG, dur sim.Duration) []sim.Time {
+func (ts Times) Generate(_ *sim.RNG, dur sim.Duration) sim.Cursor {
 	n := sort.Search(len(ts.T), func(i int) bool { return ts.T[i] >= dur })
-	if n == 0 {
-		return nil
-	}
-	out := make([]sim.Time, n)
-	copy(out, ts.T[:n])
-	return out
+	return sim.SliceCursor(ts.T[:n])
 }
 
 // ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@
 // Periodic traces (Table 3, Figures 12, 15) synthesized from the shape
 // descriptions published with INFless and "Serverless in the Wild".
 //
-// Generators materialize the full arrival sequence for a run up front
-// from a seeded RNG, keeping every experiment deterministic.
+// Generators are cursors: Generate returns a sim.Cursor that draws each
+// arrival from a seeded RNG when the engine pulls it, so a run holds one
+// pending arrival per function, however long its horizon, and every
+// experiment stays deterministic. Take drains a cursor into a slice for
+// the callers that need the whole sequence.
 package workload
 
 import (
 	"math"
-	"slices"
 
 	"dilu/internal/sim"
 )
@@ -18,27 +20,52 @@ import (
 // Arrivals produces a deterministic arrival-time sequence over a horizon.
 type Arrivals interface {
 	Name() string
-	// Generate returns strictly non-decreasing arrival times in [0, dur).
-	Generate(rng *sim.RNG, dur sim.Duration) []sim.Time
+	// Generate returns a cursor over non-decreasing arrival times in
+	// [0, dur). Each call returns a fresh cursor whose state is its own,
+	// so cursors of one value may be live at once; a cursor draws from
+	// rng only when pulled.
+	Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor
+}
+
+// Take drains a's cursor: every arrival in [0, dur), or nil if there is
+// none.
+func Take(a Arrivals, rng *sim.RNG, dur sim.Duration) []sim.Time {
+	var out []sim.Time
+	next := a.Generate(rng, dur)
+	for t, ok := next(); ok; t, ok = next() {
+		out = append(out, t)
+	}
+	return out
+}
+
+// none is the cursor of an empty arrival sequence.
+func none() (sim.Time, bool) { return 0, false }
+
+// renewal returns the cursor of a renewal process: each pull adds one
+// gap drawn by gap, and the first arrival at or past dur ends it.
+func renewal(dur sim.Duration, gap func() sim.Duration) sim.Cursor {
+	t := sim.Time(0)
+	return func() (sim.Time, bool) {
+		t += gap()
+		return t, t < dur
+	}
 }
 
 // Constant emits requests at an exact fixed rate (deterministic gaps).
+// The gap is clamped to the clock's 1 µs resolution, so a rate above
+// 1e6/s emits one request per microsecond.
 type Constant struct{ RPS float64 }
 
 // Name implements Arrivals.
 func (c Constant) Name() string { return "constant" }
 
 // Generate implements Arrivals.
-func (c Constant) Generate(_ *sim.RNG, dur sim.Duration) []sim.Time {
+func (c Constant) Generate(_ *sim.RNG, dur sim.Duration) sim.Cursor {
 	if c.RPS <= 0 {
-		return nil
+		return none
 	}
-	gap := sim.FromSeconds(1 / c.RPS)
-	var out []sim.Time
-	for t := gap; t < dur; t += gap {
-		out = append(out, t)
-	}
-	return out
+	gap := max(sim.FromSeconds(1/c.RPS), sim.Microsecond)
+	return renewal(dur, func() sim.Duration { return gap })
 }
 
 // Poisson is a homogeneous Poisson arrival process.
@@ -48,19 +75,11 @@ type Poisson struct{ RPS float64 }
 func (p Poisson) Name() string { return "poisson" }
 
 // Generate implements Arrivals.
-func (p Poisson) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (p Poisson) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	if p.RPS <= 0 {
-		return nil
+		return none
 	}
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.Exp(p.RPS))
-		if t >= dur {
-			return out
-		}
-		out = append(out, t)
-	}
+	return renewal(dur, func() sim.Duration { return sim.FromSeconds(rng.Exp(p.RPS)) })
 }
 
 // Gamma is a renewal process with Gamma-distributed inter-arrival gaps
@@ -76,58 +95,43 @@ type Gamma struct {
 func (g Gamma) Name() string { return "gamma" }
 
 // Generate implements Arrivals.
-func (g Gamma) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (g Gamma) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	if g.RPS <= 0 {
-		return nil
+		return none
 	}
 	meanGap := 1 / g.RPS
-	var out []sim.Time
-	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.GammaInterArrival(meanGap, g.CV))
-		if t >= dur {
-			return out
-		}
-		out = append(out, t)
-	}
+	return renewal(dur, func() sim.Duration { return sim.FromSeconds(rng.GammaInterArrival(meanGap, g.CV)) })
 }
 
 // RateFunc is a non-homogeneous Poisson process whose instantaneous rate
 // is given by RPS(t). It is the building block for the Azure-style traces.
 //
-// Thinning queries RPS at non-decreasing times within one Generate, so
-// implementations may keep a monotone cursor over precomputed rate
-// segments. A stateful RPS must supply Reset so a reused RateFunc value
-// replays identically: Generate rewinds the cursor before every run.
+// RPS must be a pure function of t: two cursors of one RateFunc value
+// may be live at once, and each queries RPS at its own times.
 type RateFunc struct {
 	Label string
 	RPS   func(t sim.Time) float64
 	Peak  float64 // an upper bound of RPS over the horizon, for thinning
-	// Reset rewinds any cursor state inside RPS to time zero. Called at
-	// the start of every Generate; nil means RPS is stateless.
-	Reset func()
 }
 
 // Name implements Arrivals.
 func (r RateFunc) Name() string { return r.Label }
 
 // Generate implements Arrivals via Lewis-Shedler thinning.
-func (r RateFunc) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (r RateFunc) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	if r.Peak <= 0 {
-		return nil
+		return none
 	}
-	if r.Reset != nil {
-		r.Reset()
-	}
-	var out []sim.Time
 	t := sim.Time(0)
-	for {
-		t += sim.FromSeconds(rng.Exp(r.Peak))
-		if t >= dur {
-			return out
-		}
-		if rng.Float64() < r.RPS(t)/r.Peak {
-			out = append(out, t)
+	return func() (sim.Time, bool) {
+		for {
+			t += sim.FromSeconds(rng.Exp(r.Peak))
+			if t >= dur {
+				return t, false
+			}
+			if rng.Float64() < r.RPS(t)/r.Peak {
+				return t, true
+			}
 		}
 	}
 }
@@ -147,10 +151,11 @@ type Bursty struct {
 func (b Bursty) Name() string { return "bursty" }
 
 // rateFunc precomputes the burst windows and returns the thinning
-// process over them. The rate closure keeps a monotone cursor over the
+// process over them. The rate closure keeps a monotone index over the
 // (ascending, disjoint) windows instead of scanning the whole list per
-// candidate arrival; the cursor is declared through RateFunc.Reset so a
-// replayed RateFunc rewinds it instead of resuming past the last burst.
+// candidate arrival, so unlike a public RateFunc its RPS is not pure:
+// the value serves exactly one cursor, and Generate builds a fresh one
+// for every call.
 func (b Bursty) rateFunc(rng *sim.RNG, dur sim.Duration) RateFunc {
 	burstDur := b.BurstDur
 	if burstDur <= 0 {
@@ -180,13 +185,12 @@ func (b Bursty) rateFunc(rng *sim.RNG, dur sim.Duration) RateFunc {
 			}
 			return b.BaseRPS
 		},
-		Peak:  b.BaseRPS * b.Scale,
-		Reset: func() { idx = 0 },
+		Peak: b.BaseRPS * b.Scale,
 	}
 }
 
 // Generate implements Arrivals.
-func (b Bursty) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (b Bursty) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	return b.rateFunc(rng, dur).Generate(rng, dur)
 }
 
@@ -202,7 +206,7 @@ type Periodic struct {
 func (p Periodic) Name() string { return "periodic" }
 
 // Generate implements Arrivals.
-func (p Periodic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (p Periodic) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
 	period := p.Period
 	if period <= 0 {
 		period = 120 * sim.Second
@@ -225,7 +229,8 @@ func (p Periodic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 // Sporadic synthesizes the Azure "Sporadic" trace class: long idle
 // stretches with occasional short clusters of requests — the keep-alive
 // waste driver of Observation-3 (fewer than 85% of functions invoked per
-// minute; a keep-alive instance may see 3-4 requests in ~50 s).
+// minute; a keep-alive instance may see 3-4 requests in ~50 s). A
+// ClusterRPS of zero or less yields no arrivals.
 type Sporadic struct {
 	ClusterRPS float64      // rate inside a cluster
 	ClusterDur sim.Duration // cluster length
@@ -236,7 +241,10 @@ type Sporadic struct {
 func (s Sporadic) Name() string { return "sporadic" }
 
 // Generate implements Arrivals.
-func (s Sporadic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
+func (s Sporadic) Generate(rng *sim.RNG, dur sim.Duration) sim.Cursor {
+	if s.ClusterRPS <= 0 {
+		return none
+	}
 	clusterDur := s.ClusterDur
 	if clusterDur <= 0 {
 		clusterDur = 10 * sim.Second
@@ -245,61 +253,19 @@ func (s Sporadic) Generate(rng *sim.RNG, dur sim.Duration) []sim.Time {
 	if idle <= 0 {
 		idle = 90 * sim.Second
 	}
-	var out []sim.Time
 	t := sim.FromSeconds(rng.Exp(1 / idle.Seconds()))
-	for t < dur {
-		end := t + clusterDur
-		for t < end && t < dur {
-			t += sim.FromSeconds(rng.Exp(s.ClusterRPS))
-			if t < end && t < dur {
-				out = append(out, t)
+	end := t + clusterDur
+	return func() (sim.Time, bool) {
+		for t < dur {
+			for t < end && t < dur {
+				t += sim.FromSeconds(rng.Exp(s.ClusterRPS))
+				if t < end && t < dur {
+					return t, true
+				}
 			}
+			t = end + sim.FromSeconds(rng.Exp(1/idle.Seconds()))
+			end = t + clusterDur
 		}
-		t = end + sim.FromSeconds(rng.Exp(1/idle.Seconds()))
+		return t, false
 	}
-	return out
-}
-
-// OfferedRPS buckets an arrival sequence into per-window request rates —
-// the signal plotted in the top panel of Figure 12 and consumed by the
-// global scaler's sliding window.
-func OfferedRPS(arrivals []sim.Time, window sim.Duration, dur sim.Duration) []float64 {
-	if window <= 0 {
-		return nil
-	}
-	n := int(dur / window)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for _, t := range arrivals {
-		i := int(t / window)
-		if i >= 0 && i < n {
-			out[i] += 1
-		}
-	}
-	scale := 1 / window.Seconds()
-	for i := range out {
-		out[i] *= scale
-	}
-	return out
-}
-
-// MeanRPS returns the average arrival rate over the horizon.
-func MeanRPS(arrivals []sim.Time, dur sim.Duration) float64 {
-	if dur <= 0 {
-		return 0
-	}
-	return float64(len(arrivals)) / dur.Seconds()
-}
-
-// Merge combines multiple sorted arrival sequences into one sorted
-// sequence (for aggregate offered-load views).
-func Merge(seqs ...[]sim.Time) []sim.Time {
-	var out []sim.Time
-	for _, s := range seqs {
-		out = append(out, s...)
-	}
-	slices.Sort(out)
-	return out
 }
