@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Claim tests: each asserts one row of the EXPERIMENTS.md claims ledger
 // at test scale on several seeds. A seed on which a claim fails is a
@@ -72,6 +75,42 @@ func TestClaimGrayFailureAttribution(t *testing.T) {
 			if fs.ColdStartViolations+fs.WarmQueueViolations > fs.Violations {
 				t.Errorf("seed %d: %s attributes %d cold + %d warm-queue of %d violations",
 					seed, fs.Func, fs.ColdStartViolations, fs.WarmQueueViolations, fs.Violations)
+			}
+		}
+	}
+}
+
+// TestClaimFigure7Collocation: collocating training with inference,
+// Dilu serves every pair on fewer GPUs than Exclusive — exactly half in
+// the single-GPU pairs — and keeps more training throughput than TGS,
+// whose low-priority training all but stops. (The 4-fragment LLaMA2
+// pair is 4 GPUs against Exclusive's 5, not half: its Exclusive arm
+// serves the model unsharded on one GPU. See the ledger's findings.)
+func TestClaimFigure7Collocation(t *testing.T) {
+	for _, seed := range claimSeeds {
+		rep := Figure7(Options{Scale: 0.1, Seed: seed})
+		for _, c := range figure7Cases {
+			lat := rep.Table(fmt.Sprintf("Figure 7(a). %s —", c.label))
+			thr := rep.Table(fmt.Sprintf("Figure 7(b). %s —", c.label))
+			if lat == nil || thr == nil {
+				t.Fatalf("seed %d: %s: missing latency or throughput table", seed, c.label)
+			}
+			gpus, norm := map[string]float64{}, map[string]float64{}
+			for _, row := range lat.Rows {
+				gpus[row[0]] = gwCell(t, row, 4)
+			}
+			for _, row := range thr.Rows {
+				norm[row[0]] = gwCell(t, row, 2)
+			}
+			if !(gpus["Dilu"] < gpus["Exclusive"]) {
+				t.Errorf("seed %d: %s: Dilu uses %v GPUs, Exclusive %v", seed, c.label, gpus["Dilu"], gpus["Exclusive"])
+			}
+			if c.gpus == 1 && 2*gpus["Dilu"] != gpus["Exclusive"] {
+				t.Errorf("seed %d: %s: Dilu uses %v GPUs, not half of Exclusive's %v", seed, c.label, gpus["Dilu"], gpus["Exclusive"])
+			}
+			if !(norm["Dilu"] > norm["TGS"]) {
+				t.Errorf("seed %d: %s: Dilu normalized training throughput %v not above TGS's %v",
+					seed, c.label, norm["Dilu"], norm["TGS"])
 			}
 		}
 	}

@@ -30,59 +30,73 @@ const LinearK = 1e5
 // float64.
 const maxSteepness = 40.0
 
-// Eff returns the throughput fraction achieved with SM share s under
-// saturation constant K. s is clamped to [0,1].
-func Eff(k, s float64) float64 {
+// Curve is the saturation curve eff_K for one constant K, with the
+// K-only factors of Eff and EffInv precomputed: the steepness a =
+// min(1/K, maxSteepness) and tanh(a). A resident's K changes only when
+// its batch size does, while Eff/EffInv run for it on every 5 ms tick,
+// so caching the two saves a division and a tanh per call. The cached
+// values are the ones Eff/EffInv computed inline before, so results are
+// bit-identical. The zero Curve is the curve of K = 0.
+type Curve struct {
+	K     float64
+	a, ta float64
+}
+
+// CurveOf returns the saturation curve with constant k.
+func CurveOf(k float64) Curve {
+	a := 1 / k
+	if a > maxSteepness {
+		a = maxSteepness
+	}
+	return Curve{K: k, a: a, ta: math.Tanh(a)}
+}
+
+// Eff returns the throughput fraction achieved with SM share s on curve
+// c. s is clamped to [0,1].
+func Eff(c Curve, s float64) float64 {
 	if s <= 0 {
 		return 0
 	}
 	if s >= 1 {
 		return 1
 	}
-	if k <= 0 {
+	if c.K <= 0 {
 		return 1 // degenerate: fully saturated at any share
 	}
-	if k >= LinearK {
+	if c.K >= LinearK {
 		return s
 	}
-	a := 1 / k
-	if a > maxSteepness {
-		a = maxSteepness
-	}
-	return math.Tanh(a*math.Pow(s, PartitionExp)) / math.Tanh(a)
+	return math.Tanh(c.a*math.Pow(s, PartitionExp)) / c.ta
 }
 
 // EffInv returns the SM share required to achieve throughput fraction y
-// under saturation constant K; the inverse of Eff. y is clamped to [0,1].
-func EffInv(k, y float64) float64 {
+// on curve c; the inverse of Eff. y is clamped to [0,1].
+func EffInv(c Curve, y float64) float64 {
 	if y <= 0 {
 		return 0
 	}
 	if y >= 1 {
 		return 1
 	}
-	if k <= 0 {
+	if c.K <= 0 {
 		return 0
 	}
-	if k >= LinearK {
+	if c.K >= LinearK {
 		return y
 	}
-	a := 1 / k
-	if a > maxSteepness {
-		a = maxSteepness
-	}
-	s := math.Pow(math.Atanh(y*math.Tanh(a))/a, 1/PartitionExp)
+	s := math.Pow(math.Atanh(y*c.ta)/c.a, 1/PartitionExp)
 	if s > 1 {
 		return 1
 	}
 	return s
 }
 
-// KneeForEff returns the saturation constant K such that Eff(K, sKnee) =
-// effTarget. The model catalog expresses saturation as "share at which
-// the workload reaches effTarget (e.g. 0.95) of its peak"; this solves
-// tanh(a·s^β) = t·tanh(a) for a = 1/K by bisection (the left side grows
-// from s^β to 1 as a increases, so the root is unique when s^β < t < 1).
+// KneeForEff returns the saturation constant K such that
+// Eff(CurveOf(K), sKnee) = effTarget. The model catalog expresses
+// saturation as "share at which the workload reaches effTarget (e.g.
+// 0.95) of its peak"; this solves tanh(a·s^β) = t·tanh(a) for a = 1/K
+// by bisection (the left side grows from s^β to 1 as a increases, so
+// the root is unique when s^β < t < 1).
 func KneeForEff(sKnee, effTarget float64) float64 {
 	if sKnee <= 0 {
 		return 0

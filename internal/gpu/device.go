@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 )
 
 // DefaultCapacityPerTick is the number of kernel-block units an A100-class
@@ -66,6 +67,16 @@ type Resident struct {
 	usableLast    float64 // grant- and contention-bounded rate last tick
 	totalLaunched float64 // cumulative executed blocks (Fig. 13/14 traces)
 
+	// curve is SatK's saturation curve, rebuilt by ExecuteTick when
+	// SatK changes. effS/eff memoize Eff(curve, effS) at the last grant
+	// share and wantY/wantInv EffInv(curve, wantY) at the last want:
+	// the grant repeats on most ticks, so most ticks reuse both. The
+	// zero memo is exact for every curve (both functions map 0 to 0),
+	// which is what a curve change resets it to.
+	curve          Curve
+	effS, eff      float64
+	wantY, wantInv float64
+
 	detached bool
 }
 
@@ -92,7 +103,7 @@ func (d *Device) Detach(r *Resident) {
 	d.usedMem -= r.MemMB
 	for i, res := range d.residents {
 		if res == r {
-			d.residents = append(d.residents[:i], d.residents[i+1:]...)
+			d.residents = slices.Delete(d.residents, i, i+1)
 			break
 		}
 	}
@@ -245,10 +256,16 @@ func (d *Device) ExecuteTick() {
 	want := d.want[:len(d.residents)]
 	var totalOcc float64
 	for i, r := range d.residents {
+		if r.SatK != r.curve.K {
+			r.curve = CurveOf(r.SatK)
+			r.effS, r.eff, r.wantY, r.wantInv = 0, 0, 0, 0
+		}
 		r.demandLast = r.pending
 		r.grantedLast = r.granted
-		s := r.granted / d.Capacity
-		usable := d.Capacity * Eff(r.SatK, s)
+		if s := r.granted / d.Capacity; s != r.effS {
+			r.effS, r.eff = s, Eff(r.curve, s)
+		}
+		usable := d.Capacity * r.eff
 		if d.slow > 1 { // straggler: stretch execution, keep nominal capacity
 			usable /= d.slow
 		}
@@ -257,7 +274,10 @@ func (d *Device) ExecuteTick() {
 			w = usable
 		}
 		want[i] = w
-		totalOcc += EffInv(r.SatK, w/d.Capacity)
+		if y := w / d.Capacity; y != r.wantY {
+			r.wantY, r.wantInv = y, EffInv(r.curve, y)
+		}
+		totalOcc += r.wantInv
 	}
 
 	scale := 1.0
@@ -268,7 +288,7 @@ func (d *Device) ExecuteTick() {
 			mid := (lo + hi) / 2
 			var occ float64
 			for i, r := range d.residents {
-				occ += EffInv(r.SatK, mid*want[i]/d.Capacity)
+				occ += EffInv(r.curve, mid*want[i]/d.Capacity)
 			}
 			if occ > 1 {
 				hi = mid
@@ -281,8 +301,7 @@ func (d *Device) ExecuteTick() {
 
 	var executedTotal, occTotal float64
 	for i, r := range d.residents {
-		s := r.granted / d.Capacity
-		r.usableLast = d.Capacity * Eff(r.SatK, s) * scale
+		r.usableLast = d.Capacity * r.eff * scale
 		if d.slow > 1 {
 			r.usableLast /= d.slow
 		}
@@ -294,7 +313,11 @@ func (d *Device) ExecuteTick() {
 		r.executedLast = x
 		r.totalLaunched += x
 		executedTotal += x
-		occTotal += EffInv(r.SatK, x/d.Capacity)
+		if x == want[i] {
+			occTotal += r.wantInv
+		} else {
+			occTotal += EffInv(r.curve, x/d.Capacity)
+		}
 	}
 	d.lastExecuted = executedTotal
 	d.totalExecuted += executedTotal

@@ -7,16 +7,16 @@ import (
 )
 
 func TestEffBoundary(t *testing.T) {
-	if Eff(0.5, 0) != 0 {
+	if Eff(CurveOf(0.5), 0) != 0 {
 		t.Fatal("eff(0) != 0")
 	}
-	if Eff(0.5, 1) != 1 {
+	if Eff(CurveOf(0.5), 1) != 1 {
 		t.Fatal("eff(1) != 1")
 	}
-	if Eff(0.5, 2) != 1 {
+	if Eff(CurveOf(0.5), 2) != 1 {
 		t.Fatal("eff clamps above 1")
 	}
-	if Eff(0, 0.3) != 1 {
+	if Eff(CurveOf(0), 0.3) != 1 {
 		t.Fatal("K=0 means fully saturated")
 	}
 }
@@ -25,7 +25,7 @@ func TestEffMonotone(t *testing.T) {
 	for _, k := range []float64{0.05, 0.15, 0.3, 1, LinearK} {
 		prev := 0.0
 		for s := 0.05; s <= 1.0; s += 0.05 {
-			e := Eff(k, s)
+			e := Eff(CurveOf(k), s)
 			if e <= prev {
 				t.Fatalf("k=%v: eff not increasing at s=%v", k, s)
 			}
@@ -41,7 +41,7 @@ func TestEffSigmoidInteriorTEPeak(t *testing.T) {
 	k := KneeForEff(0.4, 0.95)
 	bestS, bestTE := 0.0, 0.0
 	for s := 0.05; s <= 1.0; s += 0.05 {
-		te := Eff(k, s) / s
+		te := Eff(CurveOf(k), s) / s
 		if te > bestTE {
 			bestTE, bestS = te, s
 		}
@@ -53,10 +53,10 @@ func TestEffSigmoidInteriorTEPeak(t *testing.T) {
 
 func TestEffLinearSentinel(t *testing.T) {
 	for s := 0.1; s < 1.0; s += 0.2 {
-		if got := Eff(LinearK, s); math.Abs(got-s) > 1e-12 {
+		if got := Eff(CurveOf(LinearK), s); math.Abs(got-s) > 1e-12 {
 			t.Fatalf("LinearK eff(%v) = %v, want linear", s, got)
 		}
-		if got := EffInv(LinearK, s); math.Abs(got-s) > 1e-12 {
+		if got := EffInv(CurveOf(LinearK), s); math.Abs(got-s) > 1e-12 {
 			t.Fatalf("LinearK effinv(%v) = %v", s, got)
 		}
 	}
@@ -65,8 +65,8 @@ func TestEffLinearSentinel(t *testing.T) {
 func TestEffInvRoundTrip(t *testing.T) {
 	for _, k := range []float64{0.08, 0.2, 1, 10} {
 		for s := 0.0; s <= 1.0; s += 0.1 {
-			y := Eff(k, s)
-			back := EffInv(k, y)
+			y := Eff(CurveOf(k), s)
+			back := EffInv(CurveOf(k), y)
 			if math.Abs(back-s) > 1e-6 && s < 1 {
 				t.Fatalf("roundtrip k=%v s=%v -> %v", k, s, back)
 			}
@@ -77,12 +77,12 @@ func TestEffInvRoundTrip(t *testing.T) {
 func TestKneeForEff(t *testing.T) {
 	for _, knee := range []float64{0.15, 0.28, 0.5, 0.8} {
 		k := KneeForEff(knee, 0.95)
-		if got := Eff(k, knee); math.Abs(got-0.95) > 1e-6 {
+		if got := Eff(CurveOf(k), knee); math.Abs(got-0.95) > 1e-6 {
 			t.Fatalf("eff at knee %v = %v, want 0.95", knee, got)
 		}
 		// Below the knee the curve must be meaningfully sub-peak, i.e.
 		// extra SMs up to the knee genuinely help.
-		if got := Eff(k, knee/3); got > 0.75 {
+		if got := Eff(CurveOf(k), knee/3); got > 0.75 {
 			t.Fatalf("knee %v: eff(knee/3) = %v, too generous at low share", knee, got)
 		}
 	}
@@ -97,15 +97,15 @@ func TestKneeForEffDegenerate(t *testing.T) {
 	}
 }
 
-// Property: EffInv(K, Eff(K, s)) == s for s in (0,1).
+// Property: EffInv(c, Eff(c, s)) == s for s in (0,1).
 func TestEffInverseProperty(t *testing.T) {
 	f := func(ks, ss uint8) bool {
 		// K below ~0.08 pushes tanh into float64 saturation where the
 		// inverse is intentionally lossy near y→1; stay above it here.
 		k := 0.08 + float64(ks)/64.0
 		s := float64(ss%100) / 100.0
-		y := Eff(k, s)
-		return math.Abs(EffInv(k, y)-s) < 1e-6
+		y := Eff(CurveOf(k), s)
+		return math.Abs(EffInv(CurveOf(k), y)-s) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -109,6 +109,26 @@ type Server interface {
 	Idle() bool
 }
 
+// satKTable memoizes Spec.InferSatK by batch size. InferSatK runs a
+// 60-step tanh bisection and applySaturation asks for it at every batch
+// formation, while an instance only ever sees a few batch sizes.
+type satKTable []float64
+
+// at returns spec.InferSatK(n), computing it on first use. A zero entry
+// is one not computed yet (a K that is really 0 is just recomputed).
+// The table is sized for every batch size up to model.MaxIBS at once.
+func (t *satKTable) at(spec *model.Spec, n int) float64 {
+	if n >= len(*t) {
+		*t = append(*t, make([]float64, max(n, model.MaxIBS)+1-len(*t))...)
+	}
+	k := (*t)[n]
+	if k == 0 {
+		k = spec.InferSatK(n)
+		(*t)[n] = k
+	}
+	return k
+}
+
 // ---------------------------------------------------------------------------
 // Inference.
 
@@ -124,6 +144,7 @@ type Inference struct {
 
 	active bool
 	queue  []Request
+	satK   satKTable
 
 	// In-flight batch.
 	batch      []Request
@@ -222,7 +243,7 @@ func (in *Inference) Load() int { return len(in.queue) + len(in.batch) }
 func (in *Inference) Served() int64 { return in.served }
 
 func (in *Inference) applySaturation(ibs int) {
-	k := in.Spec.InferSatK(ibs)
+	k := in.satK.at(in.Spec, ibs)
 	for _, st := range in.Stages {
 		st.Res.SatK = k
 	}

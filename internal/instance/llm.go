@@ -53,6 +53,7 @@ type LLM struct {
 	active bool
 	queue  []Request
 	seqs   []*llmSeq
+	satK   satKTable
 
 	inStep    bool
 	stepStart sim.Time
@@ -170,7 +171,7 @@ func (in *LLM) applySaturation(n int) {
 	if n > model.MaxIBS {
 		n = model.MaxIBS
 	}
-	k := in.Spec.InferSatK(n)
+	k := in.satK.at(in.Spec, n)
 	for _, st := range in.Stages {
 		st.Res.SatK = k
 	}

@@ -124,7 +124,7 @@ func (s *Spec) TrainSatK() float64 {
 // InferExecTime predicts one batch execution time at SM share smr. For
 // generative models this is prefill plus AvgOutTokens decode steps.
 func (s *Spec) InferExecTime(smr float64, ibs int) sim.Duration {
-	eff := gpu.Eff(s.InferSatK(ibs), smr)
+	eff := gpu.Eff(gpu.CurveOf(s.InferSatK(ibs)), smr)
 	if eff <= 0 {
 		return sim.Hour
 	}
@@ -156,7 +156,7 @@ func (s *Spec) GenerateWork(ibs, outTokens int) float64 {
 // TPOT predicts the time-per-output-token at SM share smr and batch ibs —
 // the paper's LLM latency metric.
 func (s *Spec) TPOT(smr float64, ibs int) sim.Duration {
-	eff := gpu.Eff(s.InferSatK(ibs), smr)
+	eff := gpu.Eff(gpu.CurveOf(s.InferSatK(ibs)), smr)
 	if eff <= 0 {
 		return sim.Hour
 	}
@@ -184,7 +184,7 @@ func (s *Spec) ThroughputEfficacy(smr float64, ibs int) float64 {
 // TrainIterTime predicts one training iteration (compute + sync idle) at
 // SM share smr.
 func (s *Spec) TrainIterTime(smr float64) sim.Duration {
-	eff := gpu.Eff(s.TrainSatK(), smr)
+	eff := gpu.Eff(gpu.CurveOf(s.TrainSatK()), smr)
 	if eff <= 0 {
 		return sim.Hour
 	}

@@ -335,7 +335,7 @@ func For(spec *model.Spec, role Role) Profile {
 		r := ProfileTraining(spec)
 		// Compute-only iteration time at the limit quota (sync excluded:
 		// the KLC covers kernel launches, not communication idle).
-		seed := spec.TrainWork / (model.BlocksPerSecond * gpu.Eff(spec.TrainSatK(), r.Limit))
+		seed := spec.TrainWork / (model.BlocksPerSecond * gpu.Eff(gpu.CurveOf(spec.TrainSatK()), r.Limit))
 		return Profile{
 			Spec: spec, Role: role,
 			SMReq: r.Request, SMLim: r.Limit, IBS: 1,
