@@ -590,13 +590,9 @@ func (c *Cluster) FirstInactive() *GPU {
 	return nil
 }
 
-// InactiveCount returns the number of GPUs with no placements, whatever
-// their health; SchedulableInactive is the scheduler-facing count.
-func (c *Cluster) InactiveCount() int { return len(c.gpus) - len(c.active) }
-
 // SchedulableInactive returns the number of healthy GPUs with no
 // placements — the fresh-GPU supply the schedulers can actually draw
-// from. On a churn-free cluster it equals InactiveCount.
+// from. On a churn-free cluster it counts every GPU with no placements.
 func (c *Cluster) SchedulableInactive() int {
 	return len(c.gpus) - len(c.active) - (c.retired - c.retiredActive)
 }

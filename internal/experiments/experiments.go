@@ -48,12 +48,6 @@ func (o Options) withDefaults() Options {
 // the parameters of the run.
 func (o Options) Normalized() Options { return o.withDefaults() }
 
-// Quick returns benchmark-friendly options (short runs).
-func Quick() Options { return Options{Scale: 0.25} }
-
-// Full returns full-length options.
-func Full() Options { return Options{Scale: 1} }
-
 func (o Options) dur(base sim.Duration) sim.Duration {
 	d := sim.Duration(float64(base) * o.Scale)
 	if d < 10*sim.Second {

@@ -285,7 +285,7 @@ func ScheduleBatchOn(nodes, n int, seed int64) (placed int) {
 }
 
 // ScheduleBatchWith replays the §5.5 instance mix through an arbitrary
-// scheduler (the cmd/dilu-sched tool).
+// scheduler; ScheduleBatchOn and the hyperscale drivers build on it.
 func ScheduleBatchWith(s sched.Scheduler, n int, seed int64) (placed int) {
 	mix := largeScaleMix(n, 3600*sim.Second, sim.NewRNG(seed))
 	for _, inst := range mix {

@@ -144,9 +144,6 @@ func (d *Device) ResidentCount() int { return len(d.residents) }
 // MemUsedMB returns reserved device memory.
 func (d *Device) MemUsedMB() float64 { return d.usedMem }
 
-// MemFreeMB returns unreserved device memory.
-func (d *Device) MemFreeMB() float64 { return d.MemoryMB - d.usedMem }
-
 // SetSlowdown sets the straggler factor applied to every resident's
 // usable rate (f > 1 stretches execution f×; f ≤ 1 restores full
 // speed). Fault injection's knob — the health monitor reads it back via

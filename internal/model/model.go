@@ -393,12 +393,3 @@ func (p LLMProfile) KVForTokens(n int) float64 {
 	}
 	return float64(n) * p.KVMBPerToken
 }
-
-// Names returns all catalog model names.
-func Names() []string {
-	out := make([]string, len(catalog))
-	for i, s := range catalog {
-		out[i] = s.Name
-	}
-	return out
-}

@@ -11,13 +11,13 @@ import (
 func TestCatalogComplete(t *testing.T) {
 	want := []string{"ResNet152", "VGG19", "BERT-base", "RoBERTa-large",
 		"GPT2-large", "LLaMA2-7B", "ChatGLM3-6B"}
-	names := Names()
-	if len(names) != len(want) {
-		t.Fatalf("catalog has %d models, want %d", len(names), len(want))
+	all := All()
+	if len(all) != len(want) {
+		t.Fatalf("catalog has %d models, want %d", len(all), len(want))
 	}
 	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("catalog[%d] = %s, want %s", i, names[i], n)
+		if all[i].Name != n {
+			t.Fatalf("catalog[%d] = %s, want %s", i, all[i].Name, n)
 		}
 	}
 }

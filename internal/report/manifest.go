@@ -214,45 +214,6 @@ func (m *Manifest) TimingTable() *Table {
 	return t
 }
 
-// MergeManifests combines shard manifests into one. Records with the same
-// key must agree on status and fingerprint (a disagreement means two
-// shards produced different results for the same run — a reproducibility
-// violation) and are deduplicated; the result is normalized.
-func MergeManifests(suite string, parts ...*Manifest) (*Manifest, error) {
-	out := NewManifest(suite)
-	seen := map[string]RunRecord{}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for _, r := range p.Runs {
-			k := r.Key()
-			prev, ok := seen[k]
-			if !ok {
-				seen[k] = r
-				out.Add(r)
-				continue
-			}
-			if prev.Status != r.Status || prev.Fingerprint != r.Fingerprint {
-				return nil, fmt.Errorf("report: merge conflict on %s: %s/%s vs %s/%s",
-					k, prev.Status, short(prev.Fingerprint), r.Status, short(r.Fingerprint))
-			}
-		}
-	}
-	out.Normalize()
-	return out, nil
-}
-
-func short(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	if fp == "" {
-		return "<none>"
-	}
-	return fp
-}
-
 // ReadManifest parses a manifest previously written by WriteJSON.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest

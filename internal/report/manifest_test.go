@@ -63,32 +63,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeManifests(t *testing.T) {
-	a := NewManifest("shard-a")
-	a.Add(record("figure2", 1, RunOK, "x"))
-	a.Add(record("figure9", 1, RunOK, "y"))
-	b := NewManifest("shard-b")
-	b.Add(record("figure9", 1, RunOK, "y")) // duplicate, agrees
-	b.Add(record("table2", 1, RunOK, "z"))
-
-	m, err := MergeManifests("merged", a, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Runs) != 3 || m.Totals.OK != 3 {
-		t.Fatalf("merged runs = %d, totals %+v", len(m.Runs), m.Totals)
-	}
-	if m.Runs[0].Driver != "figure2" || m.Runs[2].Driver != "table2" {
-		t.Fatalf("merged runs unsorted: %+v", m.Runs)
-	}
-
-	c := NewManifest("shard-c")
-	c.Add(record("figure9", 1, RunOK, "DIFFERENT"))
-	if _, err := MergeManifests("merged", a, c); err == nil {
-		t.Fatal("conflicting fingerprints merged silently")
-	}
-}
-
 func TestFingerprintDistinguishesReports(t *testing.T) {
 	r1 := New("figure9", "t")
 	r1.AddTable(NewTable("cap", "a")).AddRow("1")

@@ -353,9 +353,13 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 			return Decision{}, ErrNoCapacity
 		}
 	}
-	// Worst fit: stable selection of the GPUs with the largest
-	// normalized free-memory share (equal-capacity GPUs compare raw free
-	// MB, so homogeneous fleets rank exactly as before normalization).
+	// Worst fit: selection of the GPUs with the largest normalized
+	// free-memory share (equal-capacity GPUs compare raw free MB, so
+	// homogeneous fleets rank exactly as before normalization). A tie
+	// goes to the earliest current position, but the selection is not
+	// stable: each swap moves the displaced candidate to the winner's
+	// slot, behind later ties. Free memory A=10, B=10, C=20 in inventory
+	// order with 2 stages picks C, then B (TestDiluMultiGPUTieOrder).
 	for i := 0; i < stages; i++ {
 		best := i
 		for j := i + 1; j < len(cands); j++ {

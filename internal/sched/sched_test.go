@@ -180,6 +180,34 @@ func TestDiluMultiGPUWorstFit(t *testing.T) {
 	}
 }
 
+// TestDiluMultiGPUTieOrder pins the worst-fit selection's tie order.
+// The selection swaps the winner forward, so A (displaced by C) lands
+// behind B and the B/A tie resolves to B. A stable selection would pick
+// A, the earlier GPU in inventory order.
+func TestDiluMultiGPUTieOrder(t *testing.T) {
+	clu := cluster.New(cluster.Config{Nodes: 1, GPUsPerNode: 3})
+	gpus := clu.GPUs()
+	const gb = 1024.0
+	for i, free := range []float64{10 * gb, 10 * gb, 20 * gb} { // A, B, C
+		g := gpus[i]
+		pl := &cluster.Placement{Instance: fmt.Sprintf("fill-%d", i), Func: "fill",
+			Req: 0.1, Lim: 0.1, MemMB: g.MemCapMB - free}
+		if err := g.Place(pl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewDilu(clu, Options{})
+	p := profiler.Profile{SMReq: 0.2, SMLim: 0.2, MemMB: 2 * gb}
+	d, err := s.Schedule(Request{Func: "llm", Profile: p, GPUsPerInstance: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []string{d[0].GPUs[0].ID, d[0].GPUs[1].ID}
+	if want := []string{gpus[2].ID, gpus[1].ID}; got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("stages on %v, want %v (C, then B)", got, want)
+	}
+}
+
 func TestDiluRCDisabledUsesFreshGPUs(t *testing.T) {
 	clu := cluster.New(cluster.Config{Nodes: 2, GPUsPerNode: 4})
 	s := NewDilu(clu, Options{DisableComplementary: true})

@@ -27,9 +27,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform int in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Perm returns a deterministic permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
