@@ -7,7 +7,7 @@
 GO ?= go
 
 .PHONY: build perfbench-build test test-short test-race-subsys cover-check bench bench-quick bench-gate \
-	bench-baseline bench-hyperscale manifest-check manifest-diff fuzz-smoke vet fmt-check ci ci-bench nightly
+	bench-baseline bench-hyperscale manifest-check manifest-diff fuzz-smoke vet fmt-check ci ci-bench nightly loc
 
 build:
 	$(GO) build ./...
@@ -145,6 +145,12 @@ fuzz-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go line count, the benchmark module and its build directory
+# excluded: the size figure a change that removes code reports before
+# and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \

@@ -15,8 +15,9 @@
 // placement sub-linear in cluster size: a function→hosting-GPUs posting
 // index (FuncGPUs, kept in inventory order) lets workload-affinity
 // lookups enumerate only the GPUs that actually host a function, and an
-// occupancy index (OccupancyBucket) buckets active GPUs by ΣReq with
-// lazy compaction so best-fit scans touch only feasible occupancy bands.
+// occupancy index (OccupancyBucket) keeps each active GPU in exactly the
+// bucket of its current ΣReq so best-fit scans touch only feasible
+// occupancy bands.
 package cluster
 
 import (
@@ -125,13 +126,11 @@ type GPU struct {
 	pos int
 	// funcCounts counts placements per function, making HostsFunc O(1).
 	funcCounts map[string]int
-	// occIdx is the occupancy bucket of the GPU's most recent ΣReq
-	// recording; occMask has bit b set iff an entry for this GPU
-	// currently sits in occupancy bucket b (stale entries stay until
-	// lazily compacted, and the mask keeps a GPU cycling through buckets
-	// from accumulating duplicates).
+	// occIdx and occSlot locate the GPU in the occupancy index: it sits
+	// at c.occs[occIdx][occSlot]. occIdx is -1 while the GPU is in no
+	// bucket (inactive).
 	occIdx  int
-	occMask uint64
+	occSlot int
 }
 
 // Active reports whether any instance is placed on the GPU.
@@ -195,7 +194,7 @@ func (g *GPU) Place(p *Placement) error {
 func (g *GPU) Remove(p *Placement) {
 	for i, q := range g.Placements {
 		if q == p {
-			g.Placements = append(g.Placements[:i], g.Placements[i+1:]...)
+			g.Placements = slices.Delete(g.Placements, i, i+1)
 			g.SumReq -= p.Req
 			g.SumLim -= p.Lim
 			g.SumTrueReq -= p.trueReq()
@@ -212,9 +211,8 @@ func (g *GPU) Remove(p *Placement) {
 			}
 			if g.clu != nil {
 				if len(g.Placements) == 0 {
-					// The occupancy entry goes stale with the GPU; it is
-					// compacted away (or revalidated by a reactivation)
-					// lazily, like the free-heap entries.
+					// Deactivation also takes the GPU out of its
+					// occupancy bucket.
 					g.clu.noteDeactivated(g)
 				} else {
 					g.clu.noteOccupancy(g)
@@ -327,12 +325,15 @@ type Cluster struct {
 	// placement leaves so the map tracks live functions only.
 	posting map[string][]*GPU
 	// occs buckets active GPUs by normalized utilization ΣReq/Capacity
-	// (bucket b holds utilization in [b/64, (b+1)/64), clamped into the
-	// top bucket): the occupancy index best-fit scans walk from the
-	// most-occupied feasible bucket downward instead of over all active
-	// GPUs. Entries are appended on ΣReq changes and compacted lazily on
-	// read; GPU.occIdx/occMask identify the live entry. On a homogeneous
-	// (capacity 1.0) fleet, utilization equals ΣReq bit-for-bit.
+	// (bucket b holds utilization in [b/OccupancyBuckets,
+	// (b+1)/OccupancyBuckets), clamped into the top bucket): the occupancy
+	// index best-fit scans walk from the most-occupied feasible bucket
+	// downward instead of over all active GPUs. The index is exact: every
+	// active GPU sits in exactly one bucket, the one for its current
+	// utilization, at slot GPU.occSlot. A ΣReq change that crosses a
+	// bucket boundary swap-removes the GPU from its old bucket, and
+	// deactivation removes it. On a homogeneous (capacity 1.0) fleet,
+	// utilization equals ΣReq bit-for-bit.
 	occs [OccupancyBuckets][]*GPU
 
 	// classes records the fleet's device generations (one synthetic
@@ -460,6 +461,7 @@ func New(cfg Config) *Cluster {
 				clu:      c,
 				pos:      len(c.gpus),
 				classIdx: ci,
+				occIdx:   -1,
 			}
 			if cfg.WithDevices {
 				g.Dev = gpu.NewDevice(g.ID)
@@ -509,13 +511,14 @@ func (c *Cluster) noteActivated(g *GPU) {
 	}
 }
 
-// noteDeactivated removes g from the active list and returns its position
-// to the inactive heap.
+// noteDeactivated removes g from the active list and its occupancy
+// bucket, and returns its position to the inactive heap.
 func (c *Cluster) noteDeactivated(g *GPU) {
 	lo := c.activeIndex(g.pos)
 	if lo < len(c.active) && c.active[lo] == g {
-		c.active = append(c.active[:lo], c.active[lo+1:]...)
+		c.active = slices.Delete(c.active, lo, lo+1)
 	}
+	c.occRemove(g)
 	c.occupiedCap -= g.Capacity
 	if !g.Schedulable() {
 		c.retiredActive--
@@ -816,42 +819,42 @@ func OccupancyBucketOf(util float64) int {
 	return idx
 }
 
-// noteOccupancy records g's current normalized utilization in the
-// occupancy index. The previous bucket's entry (if different) is left
-// stale and compacted lazily; occMask dedups re-insertions into a
-// bucket that still holds a stale entry, which then simply becomes
-// valid again.
+// noteOccupancy moves g to the occupancy bucket of its current
+// normalized utilization, unless it already sits there.
 func (c *Cluster) noteOccupancy(g *GPU) {
 	idx := OccupancyBucketOf(g.Util())
-	g.occIdx = idx
-	if g.occMask&(1<<idx) == 0 {
-		g.occMask |= 1 << idx
-		c.occs[idx] = append(c.occs[idx], g)
+	if idx == g.occIdx {
+		return
 	}
+	c.occRemove(g)
+	g.occIdx, g.occSlot = idx, len(c.occs[idx])
+	c.occs[idx] = append(c.occs[idx], g)
 }
 
-// OccupancyBucket compacts bucket b and returns the active GPUs whose
-// current ΣReq falls in it. Order within a bucket is not specified —
-// consumers needing the tie order of an inventory scan must rank by
-// (key, Pos()) lexicographically. The returned slice is the cluster's
-// live index: read-only, not to be held across placement changes.
-func (c *Cluster) OccupancyBucket(b int) []*GPU {
-	bucket := c.occs[b]
-	kept := bucket[:0]
-	for _, g := range bucket {
-		if g.Active() && g.occIdx == b {
-			kept = append(kept, g)
-		} else {
-			g.occMask &^= 1 << b // stale: deactivated or moved buckets
-		}
+// occRemove takes g out of its occupancy bucket in O(1): the bucket's
+// last GPU moves into g's slot, and the vacated tail slot is cleared so
+// the backing array does not retain g. A GPU in no bucket is left as is.
+func (c *Cluster) occRemove(g *GPU) {
+	if g.occIdx < 0 {
+		return
 	}
-	// Zero the evicted tail so stale *GPU pointers don't pin memory.
-	for i := len(kept); i < len(bucket); i++ {
-		bucket[i] = nil
-	}
-	c.occs[b] = kept
-	return kept
+	bucket := c.occs[g.occIdx]
+	last := len(bucket) - 1
+	moved := bucket[last]
+	bucket[g.occSlot], moved.occSlot = moved, g.occSlot
+	bucket[last] = nil
+	c.occs[g.occIdx] = bucket[:last]
+	g.occIdx = -1
 }
+
+// OccupancyBucket returns the active GPUs whose current normalized
+// utilization falls in bucket b. It only reads, so any number of
+// goroutines may call it while no placement changes. Order within a
+// bucket is not specified — consumers needing the tie order of an
+// inventory scan must rank by (key, Pos()) lexicographically. The
+// returned slice is the cluster's live index: read-only, not to be held
+// across placement changes.
+func (c *Cluster) OccupancyBucket(b int) []*GPU { return c.occs[b] }
 
 // Stats aggregates the fragmentation view of the cluster.
 type Stats struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -17,8 +18,11 @@ import (
 
 // checkIndexesConsistent recomputes every index from the placements and
 // compares. The occupancy comparison goes through OccupancyBucket (the
-// read API), so lazy compaction is exercised, and duplicates inside a
-// bucket are a failure in their own right.
+// read API) and requires the index to be exact: every active GPU in the
+// bucket of its current utilization, once, and nothing else — so a GPU
+// left behind in its old bucket after a move, or in any bucket after
+// deactivation, fails, and duplicates inside a bucket are a failure in
+// their own right.
 func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 	t.Helper()
 
@@ -278,6 +282,54 @@ func TestLifecycleIndexConsistencyProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOccupancyBucketConcurrentReaders reads every occupancy bucket from
+// two goroutines at once, after every GPU has moved one bucket and half
+// of them have left the index. A bucket read must not write, so under
+// -race (make test-race-subsys covers this package) any write inside
+// OccupancyBucket fails the test; both readers must also see the exact
+// index.
+func TestOccupancyBucketConcurrentReaders(t *testing.T) {
+	c := New(Config{Nodes: 4, GPUsPerNode: 4})
+	step := 1.0 / OccupancyBuckets
+	for i, g := range c.gpus {
+		if err := g.Place(&Placement{Instance: fmt.Sprintf("a%d", i), Func: "f", Req: 0.25, MemMB: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, g := range c.gpus { // one bucket up
+		if err := g.Place(&Placement{Instance: fmt.Sprintf("b%d", i), Func: "f", Req: step, MemMB: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, g := range c.gpus { // empty every other GPU
+		for i%2 == 1 && len(g.Placements) > 0 {
+			g.Remove(g.Placements[len(g.Placements)-1])
+		}
+	}
+	want := OccupancyBucketOf(0.25 + step)
+	var wg sync.WaitGroup
+	for r := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for b := 0; b < OccupancyBuckets; b++ {
+				for _, g := range c.OccupancyBucket(b) {
+					if b != want || !g.Active() || g.pos%2 == 1 {
+						t.Errorf("reader %d: %s (active=%v) in bucket %d, want only even GPUs in bucket %d",
+							r, g.ID, g.Active(), b, want)
+					}
+					seen++
+				}
+			}
+			if seen != len(c.gpus)/2 {
+				t.Errorf("reader %d: index holds %d GPUs, want %d", r, seen, len(c.gpus)/2)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestOccupancyBucketBoundaries pins the clamping behavior the

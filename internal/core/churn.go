@@ -138,7 +138,7 @@ func (f *Function) sweepWarmRetired() {
 			continue
 		}
 		w.dead = true
-		f.warm = append(f.warm[:i], f.warm[i+1:]...)
+		f.warm = slices.Delete(f.warm, i, i+1)
 		f.redispatch(f.teardown(w.si), now)
 	}
 }
@@ -153,7 +153,7 @@ func (f *Function) evictFailed(now sim.Time) {
 		if !si.dec.OnFailedGPU() {
 			continue
 		}
-		f.active = append(f.active[:i], f.active[i+1:]...)
+		f.active = slices.Delete(f.active, i, i+1)
 		f.sys.churn.EvictedInstances++
 		si.inst.SetActive(false)
 		reqs := f.teardown(si)
@@ -198,7 +198,7 @@ func (f *Function) retire(si *servedInstance, now sim.Time) {
 	if idx < 0 {
 		return
 	}
-	f.active = append(f.active[:idx], f.active[idx+1:]...)
+	f.active = slices.Delete(f.active, idx, idx+1)
 	si.inst.SetActive(false)
 	f.redispatch(f.teardown(si), now)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dilu/internal/instance"
 	"dilu/internal/rckm"
 	"dilu/internal/sched"
@@ -111,7 +113,7 @@ func (tj *TrainingJob) elasticStep(now sim.Time) {
 			if _, ok := tj.Job.TryRemoveWorker(); ok {
 				tj.sys.detachStages(w.dec, []instance.Stage{w.stage})
 				w.dec.Release()
-				es.grown = append(es.grown[:i], es.grown[i+1:]...)
+				es.grown = slices.Delete(es.grown, i, i+1)
 				es.growPauseUntil = now + 15*es.opts.Every
 			}
 			return

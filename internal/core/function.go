@@ -517,7 +517,7 @@ func (f *Function) scaleIn(now sim.Time) {
 		}
 	}
 	si := f.active[idx]
-	f.active = append(f.active[:idx], f.active[idx+1:]...)
+	f.active = slices.Delete(f.active, idx, idx+1)
 	si.inst.SetActive(false)
 	// Re-dispatch its queue.
 	for _, req := range si.inst.DropQueue() {
@@ -550,7 +550,7 @@ func (f *Function) popWarm() *warmEntry {
 		w := f.warm[i]
 		if !w.dead && !w.reused {
 			w.reused = true
-			f.warm = append(f.warm[:i], f.warm[i+1:]...)
+			f.warm = slices.Delete(f.warm, i, i+1)
 			return w
 		}
 	}

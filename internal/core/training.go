@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dilu/internal/cluster"
 	"dilu/internal/gpu"
@@ -261,7 +262,7 @@ func (sys *System) detachStages(d sched.Decision, stages []instance.Stage) {
 func (sys *System) removeMgr(m *rckm.Manager) {
 	for i, mm := range sys.activeMgrs {
 		if mm == m {
-			sys.activeMgrs = append(sys.activeMgrs[:i], sys.activeMgrs[i+1:]...)
+			sys.activeMgrs = slices.Delete(sys.activeMgrs, i, i+1)
 			return
 		}
 	}
@@ -271,7 +272,7 @@ func (sys *System) removeMgr(m *rckm.Manager) {
 func (sys *System) removeDev(d *gpu.Device) {
 	for i, dd := range sys.activeDevs {
 		if dd == d {
-			sys.activeDevs = append(sys.activeDevs[:i], sys.activeDevs[i+1:]...)
+			sys.activeDevs = slices.Delete(sys.activeDevs, i, i+1)
 			return
 		}
 	}

@@ -46,7 +46,7 @@ func HeteroMix(opts Options) *report.Report {
 		"GPU-hours", "cap-hours", "cost vs Exclusive", "occ big", "occ small"))
 	var exclusiveCapH float64
 	for _, name := range figure17Schedulers {
-		r := runLargeScaleClu(schedulerByName(name), mix, horizon, cluster.Config{
+		r := runLargeScale(schedulerByName(name), mix, horizon, cluster.Config{
 			Nodes: 1000, GPUsPerNode: 4, Classes: heteroClasses(),
 		})
 		opts.Meter.AddVirtual(horizon)

@@ -309,7 +309,6 @@ func Figure11(opts Options) *report.Report {
 	a := rep.AddTable(report.NewTable(
 		"Figure 11(a). Training throughput with RCKM management (normalized, full quota)",
 		"model", "without Dilu", "with Dilu", "normalized"))
-	full := 1.0
 	for _, name := range []string{"BERT-base", "RoBERTa-large", "GPT2-large", "LLaMA2-7B"} {
 		run := func(policy string) float64 {
 			sys := systemFor(policy, 1, 1, opts)
@@ -324,7 +323,6 @@ func Figure11(opts Options) *report.Report {
 		without := run("Exclusive")
 		with := run("Dilu")
 		a.AddRow(name, without, with, with/maxf(without, 1e-9))
-		_ = full
 	}
 	b := rep.AddTable(report.NewTable(
 		"Figure 11(b). Inference latency vs managed instance count (normalized)",

@@ -98,10 +98,6 @@ func computeEndToEnd(opts Options) e2eEntry {
 	var out []e2eResult
 	for _, label := range e2eSystems {
 		sys := mustClusterSystem(label, 5, 4, opts)
-		type jobRef struct {
-			tj   *core.TrainingJob
-			iter int64
-		}
 		var jobs []*core.TrainingJob
 		addJob := func(name, modelName string, workers int, startAt sim.Duration, iters int64) {
 			tj, err := sys.DeployTraining(name, modelName, core.TrainOpts{
@@ -154,7 +150,6 @@ func computeEndToEnd(opts Options) e2eEntry {
 				res.trainNorm += thr / solo
 			}
 		}
-		_ = jobRef{}
 		out = append(out, res)
 	}
 	return e2eEntry{results: out, virtual: local.Virtual(), engines: local.Engines()}

@@ -38,15 +38,15 @@ func Hyperscale(opts Options) *report.Report {
 		"scheduler", "placed", "peak GPUs", "SM frag", "mem frag", "GPU-hours", "cost vs Exclusive"))
 	var exclusiveGPUh float64
 	for _, name := range figure17Schedulers {
-		occ, stats, gpuSeconds, placed := runLargeScaleOn(schedulerByName(name), mix, horizon, nodes)
+		r := runLargeScale(schedulerByName(name), mix, horizon, cluster.Config{Nodes: nodes, GPUsPerNode: 4})
 		opts.Meter.AddVirtual(horizon)
-		gpuH := gpuSeconds / 3600
+		gpuH := r.gpuSeconds / 3600
 		if name == "Exclusive" {
 			exclusiveGPUh = gpuH
 		}
-		t.AddRow(name, placed, occ.Max(), stats.SMFrag, stats.MemFrag, gpuH,
+		t.AddRow(name, r.placed, r.occ.Max(), r.stats.SMFrag, r.stats.MemFrag, gpuH,
 			gpuH/maxf(exclusiveGPUh, 1e-9))
-		rep.AddSeries(occ.Downsample(120 * sim.Second))
+		rep.AddSeries(r.occ.Downsample(120 * sim.Second))
 	}
 	rep.AddNote("extends Figure 17 an order of magnitude past §5.5: the cost and fragmentation ordering must survive 40k GPUs")
 	return rep
@@ -75,11 +75,10 @@ func HyperscaleMax(opts Options) *report.Report {
 	t := rep.AddTable(report.NewTable(
 		"Hyperscale ceiling. One Dilu run at cluster ×62",
 		"scheduler", "GPUs", "placed", "peak GPUs", "SM frag", "mem frag", "GPU-hours"))
-	occ, stats, gpuSeconds, placed := runLargeScaleOn(
-		schedulerByName("Dilu"), mix, horizon, nodes)
+	r := runLargeScale(schedulerByName("Dilu"), mix, horizon, cluster.Config{Nodes: nodes, GPUsPerNode: 4})
 	opts.Meter.AddVirtual(horizon)
-	t.AddRow("Dilu", nodes*4, placed, occ.Max(), stats.SMFrag, stats.MemFrag, gpuSeconds/3600)
-	rep.AddSeries(occ.Downsample(120 * sim.Second))
+	t.AddRow("Dilu", nodes*4, r.placed, r.occ.Max(), r.stats.SMFrag, r.stats.MemFrag, r.gpuSeconds/3600)
+	rep.AddSeries(r.occ.Downsample(120 * sim.Second))
 	rep.AddNote("the scale ceiling: the occupancy-bucket index keeps a serial 250k-GPU replay tractable")
 	return rep
 }

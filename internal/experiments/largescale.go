@@ -85,21 +85,9 @@ type lsEvent struct {
 	idx    int
 }
 
-// runLargeScale replays the instance mix through one scheduler on the
-// paper's 1,000-node cluster and samples occupancy/fragmentation over
-// time.
-func runLargeScale(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration) (*metrics.Series, cluster.Stats, float64) {
-	occ, stats, gpuSeconds, _ := runLargeScaleOn(mk, mix, horizon, 1000)
-	return occ, stats, gpuSeconds
-}
-
-// runLargeScaleOn is runLargeScale with a configurable node count (the
-// hyperscale driver runs 10,000 nodes); it additionally reports how many
-// deployment requests were placed.
-func runLargeScaleOn(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, nodes int) (*metrics.Series, cluster.Stats, float64, int) {
-	r := runLargeScaleClu(mk, mix, horizon, cluster.Config{Nodes: nodes, GPUsPerNode: 4})
-	return r.occ, r.stats, r.gpuSeconds, r.placed
-}
+// paperCluster is the 1,000-node × 4-GPU cluster of the paper's §5.5
+// simulation.
+var paperCluster = cluster.Config{Nodes: 1000, GPUsPerNode: 4}
 
 // lsResult is one scheduler's large-scale replay outcome.
 type lsResult struct {
@@ -114,10 +102,11 @@ type lsResult struct {
 	placed     int
 }
 
-// runLargeScaleClu is the configurable-cluster core of the large-scale
-// placement replays: the heterogeneity drivers pass mixed GPU classes,
-// everything else a plain node count.
-func runLargeScaleClu(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, cfg cluster.Config) lsResult {
+// runLargeScale replays the instance mix through one scheduler on a
+// cluster built from cfg (paperCluster for the §5.5 figures, more nodes
+// for the hyperscale drivers, mixed GPU classes for the heterogeneity
+// drivers) and samples occupancy and fragmentation over time.
+func runLargeScale(mk func(*cluster.Cluster) sched.Scheduler, mix []lsInstance, horizon sim.Duration, cfg cluster.Config) lsResult {
 	clu := cluster.New(cfg)
 	s := mk(clu)
 	var events []lsEvent
@@ -204,14 +193,14 @@ func Figure17(opts Options) *report.Report {
 		"scheduler", "peak GPUs", "SM frag", "mem frag", "GPU-hours", "cost vs Exclusive"))
 	var exclusiveGPUh float64
 	for _, name := range figure17Schedulers {
-		occ, stats, gpuSeconds := runLargeScale(schedulerByName(name), mix, horizon)
+		r := runLargeScale(schedulerByName(name), mix, horizon, paperCluster)
 		opts.Meter.AddVirtual(horizon)
-		gpuH := gpuSeconds / 3600
+		gpuH := r.gpuSeconds / 3600
 		if name == "Exclusive" {
 			exclusiveGPUh = gpuH
 		}
-		t.AddRow(name, occ.Max(), stats.SMFrag, stats.MemFrag, gpuH, gpuH/maxf(exclusiveGPUh, 1e-9))
-		rep.AddSeries(occ.Downsample(120 * sim.Second))
+		t.AddRow(name, r.occ.Max(), r.stats.SMFrag, r.stats.MemFrag, gpuH, gpuH/maxf(exclusiveGPUh, 1e-9))
+		rep.AddSeries(r.occ.Downsample(120 * sim.Second))
 	}
 	rep.AddNote("paper: Dilu cuts cost 30%% vs Exclusive and 23%% vs INFless+-l at 3,200 instances with the lowest fragmentation")
 	return rep
@@ -231,11 +220,11 @@ func Figure18(opts Options) *report.Report {
 		"gamma", "peak GPUs", "SM frag", "mem frag"))
 	for _, gamma := range []float64{1.0, 1.25, 1.5, 2.0, 2.5} {
 		g := gamma
-		occ, stats, _ := runLargeScale(func(c *cluster.Cluster) sched.Scheduler {
+		r := runLargeScale(func(c *cluster.Cluster) sched.Scheduler {
 			return sched.NewDilu(c, sched.Options{Gamma: g})
-		}, mix, horizon)
+		}, mix, horizon, paperCluster)
 		opts.Meter.AddVirtual(horizon)
-		a.AddRow(fmt.Sprintf("%.2f", gamma), occ.Max(), stats.SMFrag, stats.MemFrag)
+		a.AddRow(fmt.Sprintf("%.2f", gamma), r.occ.Max(), r.stats.SMFrag, r.stats.MemFrag)
 	}
 
 	// (b) MaxTokens sweep on a training-inference collocation.

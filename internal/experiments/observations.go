@@ -24,7 +24,7 @@ func Figure2(opts Options) *report.Report {
 		prof := profiler.INFless(model.ByName("RoBERTa-large"))
 		p := profiler.For(model.ByName("RoBERTa-large"), profiler.RoleInference)
 		p.SMReq, p.SMLim, p.IBS = prof.Request, prof.Request, prof.IBS
-		f, err := sys.DeployInference("rob-inf", "RoBERTa-large", core.InferOpts{
+		_, err := sys.DeployInference("rob-inf", "RoBERTa-large", core.InferOpts{
 			Pin: []int{0}, Profile: &p,
 			Arrivals: workload.Poisson{RPS: 4},
 		})
@@ -43,7 +43,6 @@ func Figure2(opts Options) *report.Report {
 		t.AddRow("allocated SMR (INFless)", prof.Request)
 		t.AddRow("mean SM used", util.Mean())
 		t.AddRow("overprovision factor", prof.Request/maxf(util.Mean(), 1e-9))
-		_ = f
 	}
 
 	// Observation-2: 4-worker GPT2-large DDP idles >40% in gradient sync;

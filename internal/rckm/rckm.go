@@ -12,6 +12,7 @@ package rckm
 
 import (
 	"fmt"
+	"slices"
 
 	"dilu/internal/gpu"
 	"dilu/internal/sim"
@@ -314,7 +315,7 @@ func (m *Manager) Register(c *Client) {
 func (m *Manager) Unregister(c *Client) {
 	for i, cl := range m.clients {
 		if cl == c {
-			m.clients = append(m.clients[:i], m.clients[i+1:]...)
+			m.clients = slices.Delete(m.clients, i, i+1)
 			break
 		}
 	}

@@ -164,6 +164,23 @@ func TestUnregisterOwnerResetsState(t *testing.T) {
 	}
 }
 
+// TestUnregisterClearsVacatedSlot checks that Unregister does not leave
+// the removed client in the slot its removal vacated at the tail of the
+// client slice's backing array, where it would stay reachable (with its
+// device resident) for as long as the manager lives.
+func TestUnregisterClearsVacatedSlot(t *testing.T) {
+	dev, m := newHarness(Dilu{})
+	a := addClient(t, dev, m, "a", true, 0.3, 0.6)
+	b := addClient(t, dev, m, "b", false, 0.4, 0.8)
+	m.Unregister(a)
+	if got := m.Clients(); len(got) != 1 || got[0] != b {
+		t.Fatalf("clients after unregister = %v, want [b]", got)
+	}
+	if tail := m.Clients()[:2][1]; tail != nil {
+		t.Fatalf("vacated slot still holds client %q", tail.ID)
+	}
+}
+
 func TestMPSStaticNormalization(t *testing.T) {
 	dev, m := newHarness(MPS{UseLimit: true})
 	a := addClient(t, dev, m, "a", true, 0.3, 0.8)

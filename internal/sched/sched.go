@@ -236,10 +236,10 @@ func (s *Dilu) placeSingle(req Request) (Decision, error) {
 	p := req.Profile
 	var gpu *cluster.GPU
 	if !s.opts.DisableAffinity {
-		gpu = s.selectOptGPU(s.affinityGPUs(req.Func), p, req.Func)
+		gpu = s.selectOptGPU(s.affinityGPUs(req.Func), &p, req.Func)
 	}
 	if gpu == nil {
-		gpu = s.selectOptGPUActive(p, req.Func)
+		gpu = s.selectOptGPUActive(&p, req.Func)
 	}
 	if gpu == nil {
 		gpu = s.freshGPU(p)
@@ -290,17 +290,20 @@ func moreFreeMem(a, b multiCand) bool {
 // all of them would; the feasibility count still reflects every inactive
 // GPU.
 func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
-	p := shardProfile(req.Profile, stages)
 	if s.opts.DisableComplementary {
 		return s.placeExclusiveStages(req, stages)
 	}
-	feasible := func(g *cluster.GPU) bool {
-		return g.Schedulable() &&
-			g.SumReq+p.SMReq <= s.opts.Omega*g.Capacity+1e-9 &&
-			g.SumLim+p.SMLim <= s.opts.Gamma*g.Capacity+1e-9 &&
-			g.MemUsedMB+p.MemMB <= g.MemCapMB
-	}
+	p := shardProfile(req.Profile, stages)
 	cands := s.candScratch[:0]
+	// add makes g a candidate if the stage fits on it.
+	add := func(g *cluster.GPU) bool {
+		ok := s.fits(g, &p)
+		if ok {
+			cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
+		}
+		return ok
+	}
+	feasibleCount := 0
 	if s.clu.Heterogeneous() {
 		// Mixed fleets void the "inactive GPUs are interchangeable"
 		// argument below (classes differ in memory and capacity, so
@@ -309,49 +312,38 @@ func (s *Dilu) placeMultiGPU(req Request, stages int) (Decision, error) {
 		// the rare case, and heterogeneous drivers run at cluster sizes
 		// where an O(inventory) scan per LLM instance is acceptable.
 		for _, g := range s.clu.GPUs() {
-			if feasible(g) {
-				cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
-			}
+			add(g)
 		}
-		s.candScratch = cands
-		if len(cands) < stages {
-			return Decision{}, ErrNoCapacity
-		}
+		feasibleCount = len(cands)
 	} else {
 		s.inactScratch = s.clu.AppendInactive(s.inactScratch[:0], stages)
 		inactives := s.inactScratch
-		feasibleCount := 0
 		// Merge actives and the capped inactives in inventory order so the
 		// candidate list is a (never-selected-elements-removed) copy of the
 		// full-scan list.
 		ii := 0
 		for _, g := range s.clu.ActiveGPUs() {
 			for ii < len(inactives) && inactives[ii].Pos() < g.Pos() {
-				if feasible(inactives[ii]) {
-					cands = append(cands, multiCand{inactives[ii], inactives[ii].MemCapMB - inactives[ii].MemUsedMB})
-				}
+				add(inactives[ii])
 				ii++
 			}
-			if feasible(g) {
-				cands = append(cands, multiCand{g, g.MemCapMB - g.MemUsedMB})
+			if add(g) {
 				feasibleCount++
 			}
 		}
-		for ; ii < len(inactives); ii++ {
-			if feasible(inactives[ii]) {
-				cands = append(cands, multiCand{inactives[ii], inactives[ii].MemCapMB - inactives[ii].MemUsedMB})
-			}
+		for _, g := range inactives[ii:] {
+			add(g)
 		}
-		s.candScratch = cands
 		// Feasibility counts every schedulable inactive GPU, not just the
 		// capped sample: on a single-class fleet they are interchangeable,
 		// so one check covers all of them.
-		if n := s.clu.SchedulableInactive(); n > 0 && len(inactives) > 0 && feasible(inactives[0]) {
+		if n := s.clu.SchedulableInactive(); n > 0 && len(inactives) > 0 && s.fits(inactives[0], &p) {
 			feasibleCount += n
 		}
-		if feasibleCount < stages {
-			return Decision{}, ErrNoCapacity
-		}
+	}
+	s.candScratch = cands
+	if feasibleCount < stages {
+		return Decision{}, ErrNoCapacity
 	}
 	// Worst fit: selection of the GPUs with the largest normalized
 	// free-memory share (equal-capacity GPUs compare raw free MB, so
@@ -457,46 +449,62 @@ func (s *Dilu) affinityGPUs(fn string) []*cluster.GPU {
 	return out
 }
 
-// selectOptGPU is Algorithm 1's SelectOptGPU: the feasible candidate with
-// the minimum weighted fragmentation score. GPUs already hosting the
-// function are soft-penalized so replicas of one function spread over
-// fragments (same-function instances peak together, so stacking them
-// recreates the contention the affinity principle avoids).
-func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p profiler.Profile, fn string) *cluster.GPU {
-	bestScore := 1e18
-	bestCold := 2
-	var best *cluster.GPU
+// fits is Algorithm 1's feasibility test (constraints 2–4) for adding
+// profile p to g: g is schedulable, and its request quotas stay within
+// Ω·Capacity, its limit quotas within γ·Capacity and its memory within
+// its capacity.
+func (s *Dilu) fits(g *cluster.GPU, p *profiler.Profile) bool {
+	return g.Schedulable() &&
+		g.SumReq+p.SMReq <= s.opts.Omega*g.Capacity+1e-9 &&
+		g.SumLim+p.SMLim <= s.opts.Gamma*g.Capacity+1e-9 &&
+		g.MemUsedMB+p.MemMB <= g.MemCapMB
+}
+
+// score is Algorithm 1's weighted fragmentation score of g after adding
+// p: α times the SM share left free plus β times the memory share left
+// free (no memory term under the -RC ablation). Lower is a tighter fit.
+func (s *Dilu) score(g *cluster.GPU, p *profiler.Profile) float64 {
+	score := s.opts.Alpha * (1 - (g.SumReq+p.SMReq)/g.Capacity)
+	if !s.opts.DisableComplementary {
+		score += s.opts.Beta * (1 - (g.MemUsedMB+p.MemMB)/g.MemCapMB)
+	}
+	return score
+}
+
+// argmin keeps the lexicographic minimum of (score, cacheCold, Pos) over
+// the candidates offered to it, so the winner does not depend on the
+// order they are offered in. Over an inventory-ordered list it is the
+// first candidate with the minimum (score, cacheCold); the coldness key
+// is constant unless a node's kernel cache is warm.
+type argmin struct {
+	g     *cluster.GPU
+	score float64
+	cold  int
+	pos   int
+}
+
+// noCandidate is the empty argmin: every real score is below it.
+func noCandidate() argmin { return argmin{score: 1e18, cold: 2} }
+
+func (m *argmin) offer(g *cluster.GPU, score float64, cold int) {
+	if score < m.score || (score == m.score &&
+		(cold < m.cold || (cold == m.cold && g.Pos() < m.pos))) {
+		*m = argmin{g, score, cold, g.Pos()}
+	}
+}
+
+// selectOptGPU is Algorithm 1's SelectOptGPU over the workload-affinity
+// set: the feasible candidate with the minimum weighted fragmentation
+// score. affinityGPUs never offers a GPU that already hosts fn, so the
+// same-function rules of selectOptGPUActive cannot apply here.
+func (s *Dilu) selectOptGPU(cands []*cluster.GPU, p *profiler.Profile, fn string) *cluster.GPU {
+	best := noCandidate()
 	for _, g := range cands {
-		if !g.Schedulable() {
-			continue
-		}
-		newReq := g.SumReq + p.SMReq
-		newLim := g.SumLim + p.SMLim
-		newMem := g.MemUsedMB + p.MemMB
-		if newReq > s.opts.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
-			continue
-		}
-		if g.HostsFunc(fn) && p.Role == profiler.RoleTraining {
-			// DDP workers of one job never share a GPU: they would
-			// compute in lockstep and simply halve each other.
-			continue
-		}
-		score := s.opts.Alpha * (1 - newReq/g.Capacity)
-		if !s.opts.DisableComplementary {
-			score += s.opts.Beta * (1 - newMem/g.MemCapMB)
-		}
-		if g.HostsFunc(fn) {
-			score += 0.5
-		}
-		// Lexicographic argmin of (score, kernel-cache coldness) with
-		// scan order breaking full ties — identical to the plain argmin
-		// unless a node's kernel cache is warm.
-		cold := cacheCold(g, fn)
-		if score < bestScore || (score == bestScore && cold < bestCold) {
-			bestScore, bestCold, best = score, cold, g
+		if s.fits(g, p) {
+			best.offer(g, s.score(g, p), cacheCold(g, fn))
 		}
 	}
-	return best
+	return best.g
 }
 
 // cacheCold is the kernel-cache tie-break key: 0 when the GPU's node
@@ -512,25 +520,25 @@ func cacheCold(g *cluster.GPU, fn string) int {
 	return 1
 }
 
-// selectOptGPUActive is selectOptGPU over the whole active set, served
-// by the cluster's occupancy index instead of a slice scan. Buckets are
-// walked from most- to least-occupied; a bucket whose ΣReq upper bound
-// already lower-bounds every remaining score above the best found so
-// far ends the walk, so the scan touches only the occupancy bands that
-// could still win.
+// selectOptGPUActive is Algorithm 1's SelectOptGPU over the whole active
+// set, served by the cluster's occupancy index instead of a slice scan.
+// GPUs already hosting fn are soft-penalized so replicas of one function
+// spread over fragments (same-function instances peak together, so
+// stacking them recreates the contention the affinity principle avoids),
+// and never take a second worker of the same training job.
 //
-// Equivalence with selectOptGPU(ActiveGPUs()): that scan takes the
-// first (inventory-order) candidate achieving the minimum score, i.e.
-// the lexicographic argmin of (score, cacheCold, Pos) — the cache-
-// coldness key degenerates to a constant unless a node's kernel cache
-// is warm. Bucket order is arbitrary, so the same argmin is computed
-// explicitly; and since the SM term alone satisfies score ≥ α·(1 −
-// (util + req/cap)) ≥ α·(1 − (ub + req/min-cap)) — the memory term and
-// the same-function penalty are non-negative — a bucket bound strictly
-// above bestScore proves no remaining candidate can beat *or tie* it
-// (the break fires only on strict >, so equal-score candidates that
-// could win the coldness/position tie-break are still scanned).
-func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
+// Buckets are walked from most- to least-occupied. The index holds every
+// active GPU exactly once, in the bucket of its current utilization, so
+// the walk offers each feasible GPU it reaches once; argmin makes the
+// result independent of bucket order and equal to an inventory-order
+// scan of the active list. A bucket ends the walk when its utilization
+// upper bound ub proves no GPU in it or below can beat *or tie* the
+// best: the SM term alone gives score ≥ α·(1 − (util + req/cap)) ≥
+// α·(1 − (ub + req/min-cap)), since the memory term and the
+// same-function penalty are non-negative, and the break fires only on
+// strict >, so equal-score candidates that could win the
+// coldness/position tie-break are still scanned.
+func (s *Dilu) selectOptGPUActive(p *profiler.Profile, fn string) *cluster.GPU {
 	// Buckets whose normalized-utilization lower bound already breaks Ω
 	// for even the largest-capacity GPU hold no feasible candidate;
 	// start below them. (On a homogeneous fleet MaxCapacity is 1.0 and
@@ -540,10 +548,7 @@ func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
 		return nil
 	}
 	start := cluster.OccupancyBucketOf(headroom)
-	bestScore := 1e18
-	bestCold := 2
-	bestPos := -1
-	var best *cluster.GPU
+	best := noCandidate()
 	// The posting index answers "does any GPU host fn" once, up front:
 	// when it is empty (the common case for per-instance function names)
 	// both HostsFunc checks below are statically false, saving a string
@@ -556,41 +561,30 @@ func (s *Dilu) selectOptGPUActive(p profiler.Profile, fn string) *cluster.GPU {
 		// its bound is checked after scanning it). The score lower bound
 		// divides the request by the smallest capacity in the fleet —
 		// the largest possible normalized increment.
-		if best != nil {
+		if best.g != nil {
 			ub := float64(b+1) / cluster.OccupancyBuckets
-			if s.opts.Alpha*(1-(ub+p.SMReq/s.clu.MinCapacity())) > bestScore {
+			if s.opts.Alpha*(1-(ub+p.SMReq/s.clu.MinCapacity())) > best.score {
 				break
 			}
 		}
 		for _, g := range s.clu.OccupancyBucket(b) {
-			if !g.Schedulable() {
-				continue
-			}
-			newReq := g.SumReq + p.SMReq
-			newLim := g.SumLim + p.SMLim
-			newMem := g.MemUsedMB + p.MemMB
-			if newReq > s.opts.Omega*g.Capacity+1e-9 || newLim > s.opts.Gamma*g.Capacity+1e-9 || newMem > g.MemCapMB {
+			if !s.fits(g, p) {
 				continue
 			}
 			hosts := hostsAny && g.HostsFunc(fn)
 			if hosts && p.Role == profiler.RoleTraining {
+				// DDP workers of one job never share a GPU: they would
+				// compute in lockstep and simply halve each other.
 				continue
 			}
-			score := s.opts.Alpha * (1 - newReq/g.Capacity)
-			if !s.opts.DisableComplementary {
-				score += s.opts.Beta * (1 - newMem/g.MemCapMB)
-			}
+			score := s.score(g, p)
 			if hosts {
 				score += 0.5
 			}
-			cold := cacheCold(g, fn)
-			if score < bestScore || (score == bestScore &&
-				(cold < bestCold || (cold == bestCold && g.Pos() < bestPos))) {
-				bestScore, bestCold, bestPos, best = score, cold, g.Pos(), g
-			}
+			best.offer(g, score, cacheCold(g, fn))
 		}
 	}
-	return best
+	return best.g
 }
 
 // freshGPU starts a new GPU instance (line 16): the first inactive GPU
