@@ -308,7 +308,7 @@ type Cluster struct {
 	active []*GPU
 	// inactive is a min-heap of inventory positions of GPUs believed
 	// inactive, with lazy deletion: activation leaves a stale entry that
-	// FirstInactive discards when it surfaces. inHeap tracks which
+	// FirstInactiveFit discards when it surfaces. inHeap tracks which
 	// positions currently have an entry so a GPU cycling through
 	// activations never accumulates duplicates.
 	inactive []int
@@ -578,21 +578,6 @@ func (c *Cluster) GPUs() []*GPU { return c.gpus }
 // placement changes.
 func (c *Cluster) ActiveGPUs() []*GPU { return c.active }
 
-// FirstInactive returns the schedulable inactive GPU earliest in
-// inventory order — the GPU a linear "first !Active() && Schedulable()"
-// scan would find — or nil when none exists. Failed and draining GPUs
-// are discarded from the heap here and pushed back by JoinNode.
-func (c *Cluster) FirstInactive() *GPU {
-	for len(c.inactive) > 0 {
-		g := c.gpus[c.inactive[0]]
-		if !g.Active() && g.Schedulable() {
-			return g
-		}
-		c.inHeap[c.popInactive()] = false // stale (activated) or retired entry
-	}
-	return nil
-}
-
 // SchedulableInactive returns the number of healthy GPUs with no
 // placements — the fresh-GPU supply the schedulers can actually draw
 // from. On a churn-free cluster it counts every GPU with no placements.
@@ -603,9 +588,10 @@ func (c *Cluster) SchedulableInactive() int {
 // FirstInactiveFit returns the earliest schedulable inactive GPU whose
 // class fits the need — Capacity ≥ minCap (within quota epsilon) and
 // MemCapMB ≥ memMB — or nil. Too-small GPUs are skipped but stay in the
-// heap (they remain valid fresh candidates for smaller requests); on a
-// homogeneous fleet nothing is ever skipped and the result is exactly
-// FirstInactive's.
+// heap (they remain valid fresh candidates for smaller requests). A zero
+// need fits every GPU, so FirstInactiveFit(0, 0) is the earliest
+// schedulable inactive GPU in inventory order; on a homogeneous fleet
+// nothing is ever skipped and every need gets that GPU.
 func (c *Cluster) FirstInactiveFit(minCap, memMB float64) *GPU {
 	taken := c.takenScratch[:0]
 	var found *GPU
@@ -747,7 +733,7 @@ func (c *Cluster) setHealth(g *GPU, h Health) {
 			c.retiredActive--
 		} else if !c.inHeap[g.pos] {
 			// The GPU's heap entry was discarded while it was retired;
-			// restore it so FirstInactive can offer the GPU again.
+			// restore it so FirstInactiveFit can offer the GPU again.
 			c.inHeap[g.pos] = true
 			c.pushInactive(g.pos)
 		}

@@ -83,8 +83,9 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 			step, len(seen), len(wantActive))
 	}
 
-	// Free index: FirstInactive returns the earliest schedulable
-	// inactive GPU — retired (failed/draining) slots never surface.
+	// Free index: FirstInactiveFit(0, 0) returns the earliest schedulable
+	// inactive GPU (a zero need fits every GPU); retired (failed or
+	// draining) slots never surface.
 	var wantFirst *GPU
 	wantSchedInactive := 0
 	for _, g := range c.gpus {
@@ -95,8 +96,8 @@ func checkIndexesConsistent(t *testing.T, c *Cluster, step int) {
 			wantSchedInactive++
 		}
 	}
-	if got := c.FirstInactive(); got != wantFirst {
-		t.Fatalf("step %d: FirstInactive = %v, want %v", step, got, wantFirst)
+	if got := c.FirstInactiveFit(0, 0); got != wantFirst {
+		t.Fatalf("step %d: FirstInactiveFit(0, 0) = %v, want %v", step, got, wantFirst)
 	}
 	if got := c.SchedulableInactive(); got != wantSchedInactive {
 		t.Fatalf("step %d: SchedulableInactive = %d, want %d", step, got, wantSchedInactive)

@@ -34,12 +34,6 @@ func TestSystemAccessors(t *testing.T) {
 			t.Fatal("manager accessor")
 		}
 	}
-	ticks := 0
-	sys.OnTick(func(sim.Time) { ticks++ })
-	sys.Run(100 * sim.Millisecond)
-	if ticks != 20 {
-		t.Fatalf("OnTick fired %d times over 100ms, want 20", ticks)
-	}
 }
 
 func TestFlushPendingOnActivation(t *testing.T) {

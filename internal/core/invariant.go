@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"dilu/internal/gpu"
 	"dilu/internal/instance"
 	"dilu/internal/rckm"
 	"dilu/internal/sim"
@@ -61,13 +60,11 @@ func (sys *System) ActiveSetSizes() (list, index int) {
 	return len(sys.activeInsts), len(sys.instActive)
 }
 
-// ManagerInActiveSet reports whether the RCKM manager is in the tick
-// loop's manager active set.
-func (sys *System) ManagerInActiveSet(m *rckm.Manager) bool { return sys.mgrActive[m] }
-
-// DeviceInActiveSet reports whether the device is in the tick loop's
-// execution active set.
-func (sys *System) DeviceInActiveSet(d *gpu.Device) bool { return sys.devActive[d] }
+// ActiveManagers returns the tick loop's manager active set: the
+// managers with registered clients, whose devices the execution phase
+// steps. The slice is the system's live set — callers must treat it as
+// read-only and must not hold it across attach or detach.
+func (sys *System) ActiveManagers() []*rckm.Manager { return sys.activeMgrs }
 
 // VisitInstances calls visit for every live inference instance of the
 // function: serving instances first (deployment order), then keep-alive

@@ -69,8 +69,8 @@ type Config struct {
 	// Invariants are read-only state checkers run at the end of every
 	// fired tick and at the Run horizon; a violation panics. The default
 	// factory's invariants (see SetDefaultInvariantFactory) are appended
-	// to this list. Checkers never affect results — they are not tickers
-	// and do not keep an idle system from fast-forwarding.
+	// to this list. Checkers never affect results and do not keep an
+	// idle system from fast-forwarding.
 	Invariants []Invariant
 }
 
@@ -125,21 +125,19 @@ type System struct {
 	// Active sets. The tick loop iterates exactly the entities whose
 	// per-tick work is non-trivial, instead of scanning the whole world:
 	// instances with queued or in-flight work, managers with registered
-	// clients, devices with attached residents, and started-but-
-	// unreleased training jobs. Membership is updated incrementally at
-	// attach/detach and demand transitions; each set's predicate matches
-	// the guard the pre-refactor full scan applied, so results are
-	// bit-identical. When every set is empty (and no OnTick observer is
-	// registered) the system deregisters its engine ticker entirely,
-	// letting the engine fast-forward across idle stretches.
+	// clients, and started-but-unreleased training jobs. Membership is
+	// updated incrementally at attach/detach and demand transitions; each
+	// set's predicate matches the guard a full scan would apply, so
+	// results are bit-identical. attach and detachStages pair every
+	// client with one resident on the manager's device, so a manager has
+	// clients exactly while its device has residents: activeMgrs is also
+	// the execution phase's device set. When every set is empty the
+	// system turns its engine tick off, letting the engine fast-forward
+	// across idle stretches.
 	activeInsts []instance.Ticker
 	instActive  map[instance.Ticker]bool
 	activeMgrs  []*rckm.Manager
-	mgrActive   map[*rckm.Manager]bool
-	activeDevs  []*gpu.Device
-	devActive   map[*gpu.Device]bool
 	liveJobs    []*TrainingJob
-	tickHandle  *sim.TickerHandle
 
 	rng    *sim.RNG
 	reqSeq int64
@@ -147,8 +145,6 @@ type System struct {
 	// GPUSeries samples occupied-GPU count once per second (SGT and
 	// Figure 17 accounting).
 	GPUSeries *metrics.Series
-
-	onTick []func(now sim.Time)
 
 	churn ChurnStats
 
@@ -173,8 +169,10 @@ type System struct {
 	kvPeakShare float64
 
 	invariants []Invariant
-
-	horizon sim.Duration
+	// checkedAt is the time of the last tick's invariant pass inside the
+	// current Run (-1 before the first), so Run does not repeat a pass
+	// over the state that tick just checked.
+	checkedAt sim.Time
 }
 
 // NewSystem builds a system.
@@ -192,8 +190,6 @@ func NewSystem(cfg Config) (*System, error) {
 		rng:         sim.NewRNG(cfg.Seed),
 		mgrByGPU:    make(map[*cluster.GPU]*rckm.Manager),
 		instActive:  make(map[instance.Ticker]bool),
-		mgrActive:   make(map[*rckm.Manager]bool),
-		devActive:   make(map[*gpu.Device]bool),
 		funcByName:  make(map[string]*Function),
 		tenantFuncs: make(map[string][]*Function),
 		gw:          gateway{policy: cfg.Admission, stats: make(map[string]*TenantStats), report: cfg.Admission != nil},
@@ -222,8 +218,8 @@ func NewSystem(cfg Config) (*System, error) {
 			n.Kernels = gpu.NewKernelCache(kernelCacheCap)
 		}
 	}
-	sys.tickHandle = sys.Eng.AddDynamicTicker(sim.TickerFunc(sys.tick))
-	sys.updateTickActivity() // nothing deployed yet: start deregistered
+	sys.Eng.SetTick(sys.tick)
+	sys.updateTickActivity() // nothing deployed yet: start with the tick off
 	// One-second sampler for scaling decisions and occupancy traces.
 	var sampler func(now sim.Time)
 	sampler = func(now sim.Time) {
@@ -259,14 +255,6 @@ func (sys *System) Jobs() []*TrainingJob { return sys.jobs }
 // Manager returns the RCKM manager of a GPU.
 func (sys *System) Manager(g *cluster.GPU) *rckm.Manager { return sys.mgrByGPU[g] }
 
-// OnTick registers a per-5ms-tick observer (trace sampling for Figures
-// 13/14). A system with observers ticks on every period for as long as
-// it runs.
-func (sys *System) OnTick(fn func(now sim.Time)) {
-	sys.onTick = append(sys.onTick, fn)
-	sys.updateTickActivity()
-}
-
 // wakeInst adds an instance runtime to the active set. Idempotent; idle
 // instances are swept back out by the tick loop.
 func (sys *System) wakeInst(t instance.Ticker) {
@@ -278,20 +266,19 @@ func (sys *System) wakeInst(t instance.Ticker) {
 	sys.updateTickActivity()
 }
 
-// updateTickActivity (de)registers the system's engine ticker to match
-// whether the next tick would do any work. The deactivation contract of
-// sim.TickerHandle holds by construction: with every active set empty
-// and no observers, tick is a no-op.
+// updateTickActivity turns the engine tick on or off to match whether
+// the next tick would do any work. The contract of sim.Engine.SetTicking
+// holds by construction: with every active set empty, tick is a no-op.
 func (sys *System) updateTickActivity() {
-	sys.tickHandle.SetActive(len(sys.activeInsts) > 0 || len(sys.activeMgrs) > 0 ||
-		len(sys.activeDevs) > 0 || len(sys.liveJobs) > 0 || len(sys.onTick) > 0)
+	sys.Eng.SetTicking(len(sys.activeInsts) > 0 || len(sys.activeMgrs) > 0 || len(sys.liveJobs) > 0)
 }
 
 // tick is the world loop: demand, tokens, execution, completions. Each
 // phase walks its active set; the sets' predicates mirror the guards the
-// full scans used (instances with work, managers with clients, devices
-// with residents), and every per-entity step touches only that entity's
-// state, so iteration order within a phase cannot affect results.
+// full scans used (instances with work, managers with clients, hence
+// devices with residents), and every per-entity step touches only that
+// entity's state, so iteration order within a phase cannot affect
+// results.
 func (sys *System) tick(now sim.Time) {
 	for _, in := range sys.activeInsts {
 		in.PreTick(now)
@@ -299,8 +286,8 @@ func (sys *System) tick(now sim.Time) {
 	for _, m := range sys.activeMgrs {
 		m.Issue(now)
 	}
-	for _, d := range sys.activeDevs {
-		d.ExecuteTick()
+	for _, m := range sys.activeMgrs {
+		m.Dev.ExecuteTick()
 	}
 	idled := false
 	for _, in := range sys.activeInsts {
@@ -336,19 +323,14 @@ func (sys *System) tick(now sim.Time) {
 		}
 		sys.liveJobs = kept
 	}
-	for _, fn := range sys.onTick {
-		fn(now)
-	}
 	sys.updateTickActivity()
 	sys.checkInvariants(now)
+	sys.checkedAt = now
 }
 
 // sample runs the 1 Hz control loop: RPS accounting, horizontal scaling,
 // occupancy traces.
 func (sys *System) sample(now sim.Time) {
-	if sys.horizon > 0 && now > sys.horizon {
-		return
-	}
 	sys.GPUSeries.Add(now, float64(sys.Clu.OccupiedCount()))
 	if sys.llmDeployed {
 		sys.sampleKV()
@@ -361,14 +343,19 @@ func (sys *System) sample(now sim.Time) {
 	}
 }
 
-// Run advances the virtual clock to the horizon. Attached invariants are
-// verified once more at the horizon: events fired during an idle
-// fast-forward span (scale decisions, keep-alive expiries) would
-// otherwise escape checking when no further tick fires.
+// Run advances the virtual clock by d. Attached invariants are verified
+// once more at the horizon: events fired during an idle fast-forward
+// span (scale decisions, keep-alive expiries) would otherwise escape
+// checking when no further tick fires. The pass is skipped when a tick
+// of this Run already checked at the horizon: nothing runs after a tick
+// at the engine's horizon, so that tick checked the same state, and a
+// run split into tick-aligned segments makes no extra passes.
 func (sys *System) Run(d sim.Duration) {
-	sys.horizon = sys.Eng.Now() + d
-	sys.Eng.Run(sys.horizon)
-	sys.checkInvariants(sys.Eng.Now())
+	sys.checkedAt = -1
+	sys.Eng.Run(sys.Eng.Now() + d)
+	if now := sys.Eng.Now(); sys.checkedAt != now {
+		sys.checkInvariants(now)
+	}
 }
 
 // GPUSecondsUsed integrates the occupied-GPU trace (for SGT and the cost

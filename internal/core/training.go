@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"dilu/internal/cluster"
-	"dilu/internal/gpu"
 	"dilu/internal/instance"
 	"dilu/internal/model"
 	"dilu/internal/profiler"
@@ -196,8 +195,8 @@ func (tj *TrainingJob) Throughput(now sim.Time) float64 {
 // Shared attach/detach wiring.
 
 // attach creates one resident + RCKM client per stage GPU of a decision,
-// entering the GPU's manager and device into the tick-loop active sets
-// on their first client/resident.
+// entering the GPU's manager into the tick-loop active set on its first
+// client.
 func (sys *System) attach(d sched.Decision, sloSensitive bool, prof profiler.Profile) ([]instance.Stage, error) {
 	var stages []instance.Stage
 	for i, g := range d.GPUs {
@@ -216,13 +215,8 @@ func (sys *System) attach(d sched.Decision, sloSensitive bool, prof profiler.Pro
 		c.SeedKLCWork(prof.SeedKLC/n, prof.SeedWork/n)
 		m := sys.mgrByGPU[g]
 		m.Register(c)
-		if !sys.mgrActive[m] {
-			sys.mgrActive[m] = true
+		if len(m.Clients()) == 1 {
 			sys.activeMgrs = append(sys.activeMgrs, m)
-		}
-		if !sys.devActive[g.Dev] {
-			sys.devActive[g.Dev] = true
-			sys.activeDevs = append(sys.activeDevs, g.Dev)
 		}
 		stages = append(stages, instance.Stage{Res: res, Client: c})
 	}
@@ -243,13 +237,8 @@ func (sys *System) detachStages(d sched.Decision, stages []instance.Stage) {
 				m := sys.mgrByGPU[g]
 				m.Unregister(st.Client)
 				dev.Detach(st.Res)
-				if len(m.Clients()) == 0 && sys.mgrActive[m] {
-					delete(sys.mgrActive, m)
+				if len(m.Clients()) == 0 {
 					sys.removeMgr(m)
-				}
-				if dev.ResidentCount() == 0 && sys.devActive[dev] {
-					delete(sys.devActive, dev)
-					sys.removeDev(dev)
 				}
 			}
 		}
@@ -257,22 +246,12 @@ func (sys *System) detachStages(d sched.Decision, stages []instance.Stage) {
 	sys.updateTickActivity()
 }
 
-// removeMgr drops a now-clientless manager from the active set,
-// preserving the order of the rest.
+// removeMgr drops a now-clientless manager from the active set, if it
+// is there, preserving the order of the rest.
 func (sys *System) removeMgr(m *rckm.Manager) {
 	for i, mm := range sys.activeMgrs {
 		if mm == m {
 			sys.activeMgrs = slices.Delete(sys.activeMgrs, i, i+1)
-			return
-		}
-	}
-}
-
-// removeDev drops a now-empty device from the active set.
-func (sys *System) removeDev(d *gpu.Device) {
-	for i, dd := range sys.activeDevs {
-		if dd == d {
-			sys.activeDevs = slices.Delete(sys.activeDevs, i, i+1)
 			return
 		}
 	}

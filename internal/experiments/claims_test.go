@@ -115,3 +115,55 @@ func TestClaimFigure7Collocation(t *testing.T) {
 		}
 	}
 }
+
+// TestClaimFigure13KernelIssuing: at low inference load Dilu keeps the
+// mean inference kernel ratio below static MPS-r's, leaving SMs to the
+// collocated training job (13(a)); under CV-5 fluctuating load Dilu's
+// peak ratio is above MPS-r's, issuing more tokens in bursts (13(b)).
+func TestClaimFigure13KernelIssuing(t *testing.T) {
+	for _, seed := range claimSeeds {
+		rep := Figure13(Options{Scale: 0.1, Seed: seed})
+		low := rep.Table("Figure 13(a).")
+		fluct := rep.Table("Figure 13(b).")
+		if low == nil || fluct == nil {
+			t.Fatalf("seed %d: missing Figure 13(a) or 13(b) table", seed)
+		}
+		mean, peak := map[string]float64{}, map[string]float64{}
+		for _, row := range low.Rows {
+			mean[row[0]] = gwCell(t, row, 1)
+		}
+		for _, row := range fluct.Rows {
+			peak[row[0]] = gwCell(t, row, 2)
+		}
+		if !(mean["Dilu"] < mean["MPS-r"]) {
+			t.Errorf("seed %d: low load: Dilu mean inference kernel ratio %v not below MPS-r's %v",
+				seed, mean["Dilu"], mean["MPS-r"])
+		}
+		if !(peak["Dilu"] > peak["MPS-r"]) {
+			t.Errorf("seed %d: CV-5 load: Dilu peak inference kernel ratio %v not above MPS-r's %v",
+				seed, peak["Dilu"], peak["MPS-r"])
+		}
+	}
+}
+
+// TestClaimFigure14KernelCounts: Dilu's collocated trace ends with the
+// most cumulative kernel blocks of the four (Dilu and MPS-r collocated,
+// Exclusive training-only and inference-only), the paper's "highest GPU
+// utilization".
+func TestClaimFigure14KernelCounts(t *testing.T) {
+	for _, seed := range claimSeeds {
+		tab := Figure14(Options{Scale: 0.1, Seed: seed}).Table("Figure 14.")
+		if tab == nil || len(tab.Rows) != 4 {
+			t.Fatalf("seed %d: missing Figure 14 table or not 4 traces", seed)
+		}
+		if tab.Rows[0][0] != "Dilu (collocated)" {
+			t.Fatalf("seed %d: first trace is %q, want Dilu (collocated)", seed, tab.Rows[0][0])
+		}
+		dilu := gwCell(t, tab.Rows[0], 1)
+		for _, row := range tab.Rows[1:] {
+			if other := gwCell(t, row, 1); !(dilu > other) {
+				t.Errorf("seed %d: Dilu's %v final kernel blocks not above %s's %v", seed, dilu, row[0], other)
+			}
+		}
+	}
+}

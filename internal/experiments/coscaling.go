@@ -26,12 +26,7 @@ func Figure12(opts Options) *report.Report {
 	// Windowed SVR: violations per 10 s window.
 	svr := metrics.NewSeries("windowed-svr")
 	var lastCount, lastViol int
-	var next sim.Time = 10 * sim.Second
-	sys.OnTick(func(now sim.Time) {
-		if now < next {
-			return
-		}
-		next += 10 * sim.Second
+	runSampled(sys, dur, 10*sim.Second, func(now sim.Time) {
 		count, viol := f.Rec.Count(), f.Rec.Violations()
 		dc, dv := count-lastCount, viol-lastViol
 		lastCount, lastViol = count, viol
@@ -41,7 +36,6 @@ func Figure12(opts Options) *report.Report {
 			svr.Add(now, 0)
 		}
 	})
-	sys.Run(dur)
 	rep.AddSeries(f.RPSTrace.Downsample(10 * sim.Second))
 	rep.AddSeries(f.InstTrace.Downsample(10 * sim.Second))
 	rep.AddSeries(svr)

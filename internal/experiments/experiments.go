@@ -119,3 +119,20 @@ func mustClusterSystem(label string, nodes, gpusPerNode int, o Options) *core.Sy
 	}
 	return sys
 }
+
+// runSampled runs sys for dur as consecutive Runs of step, calling
+// sample after each with the time it ended at. A step on the tick
+// lattice ends on a tick, so every sample sees the state after that
+// time's tick; a remainder shorter than step runs unsampled. Running in
+// segments changes no result (TestRunSegmentsMatchSingleRun), and lets
+// an idle system fast-forward between samples.
+func runSampled(sys *core.System, dur, step sim.Duration, sample func(now sim.Time)) {
+	end := sys.Eng.Now() + dur
+	for sys.Eng.Now()+step <= end {
+		sys.Run(step)
+		sample(sys.Eng.Now())
+	}
+	if rest := end - sys.Eng.Now(); rest > 0 {
+		sys.Run(rest)
+	}
+}

@@ -33,10 +33,9 @@ func Figure2(opts Options) *report.Report {
 		}
 		dur := opts.dur(120 * sim.Second)
 		util := metrics.NewSeries("roberta-sm-used")
-		sys.OnTick(func(now sim.Time) {
+		runSampled(sys, dur, sim.TickPeriod, func(now sim.Time) {
 			util.Add(now, sys.Clu.GPUs()[0].Dev.LastOccupancy())
 		})
-		sys.Run(dur)
 		t := rep.AddTable(report.NewTable(
 			"Figure 2(a). Static allocation vs actual use (RoBERTa-large inference, low load)",
 			"metric", "value"))
@@ -91,14 +90,13 @@ func Figure2(opts Options) *report.Report {
 		}
 		dur := opts.dur(100 * sim.Second)
 		busy := metrics.NewSeries("busy")
-		sys.OnTick(func(now sim.Time) {
+		runSampled(sys, dur, sim.TickPeriod, func(now sim.Time) {
 			if sys.Clu.GPUs()[0].Dev.LastOccupancy() > 0.01 {
 				busy.Add(now, 1)
 			} else {
 				busy.Add(now, 0)
 			}
 		})
-		sys.Run(dur)
 		t := rep.AddTable(report.NewTable(
 			"Figure 2(a). Keep-alive waste on a sporadic trace",
 			"metric", "value"))

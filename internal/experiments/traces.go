@@ -27,12 +27,7 @@ func kernelTraceRun(policy, infModel, trainModel string, arr workload.Arrivals, 
 	total = metrics.NewSeries(policy + "/total-kernels")
 	dev := sys.Clu.GPUs()[0].Dev
 	var lastInf, lastTotal float64
-	var nextSample sim.Time = sim.Second
-	sys.OnTick(func(now sim.Time) {
-		if now < nextSample {
-			return
-		}
-		nextSample += sim.Second
+	runSampled(sys, dur, sim.Second, func(now sim.Time) {
 		var inf, tot float64
 		for _, r := range dev.Residents() {
 			tot += r.TotalLaunched()
@@ -49,7 +44,6 @@ func kernelTraceRun(policy, infModel, trainModel string, arr workload.Arrivals, 
 		}
 		total.Add(now, tot)
 	})
-	sys.Run(dur)
 	return ratio, total, f.RPSTrace
 }
 
@@ -114,14 +108,9 @@ func Figure14(opts Options) *report.Report {
 		}
 		s := metrics.NewSeries(fmt.Sprintf("Exclusive-train=%v/total-kernels", train))
 		dev := sys.Clu.GPUs()[0].Dev
-		var next sim.Time = sim.Second
-		sys.OnTick(func(now sim.Time) {
-			if now >= next {
-				next += sim.Second
-				s.Add(now, dev.TotalExecuted())
-			}
+		runSampled(sys, dur, sim.Second, func(now sim.Time) {
+			s.Add(now, dev.TotalExecuted())
 		})
-		sys.Run(dur)
 		return s
 	}
 	exTrain := exclOnly(true)

@@ -106,7 +106,6 @@ type Server interface {
 	HasRequest(id int64) bool
 	DropQueue() []Request
 	Abort() []Request
-	Idle() bool
 }
 
 // satKTable memoizes Spec.InferSatK by batch size. InferSatK runs a
@@ -416,9 +415,6 @@ func (in *Inference) Abort() []Request {
 	}
 	return reqs
 }
-
-// Idle reports whether the instance has no queued or executing work.
-func (in *Inference) Idle() bool { return len(in.queue) == 0 && in.steps == 0 }
 
 // Busy implements Ticker: queued or in-flight work exists. Note this is
 // independent of Active — a descheduled instance still drains its

@@ -12,18 +12,20 @@ import (
 )
 
 // world is a minimal single-GPU tick loop: instances PreTick, manager
-// issues, device executes, instances PostTick.
+// issues, device executes, instances PostTick. Managers of further GPUs
+// (extra) issue and execute after that step.
 type world struct {
 	eng   *sim.Engine
 	dev   *gpu.Device
 	mgr   *rckm.Manager
 	insts []Ticker
+	extra []*rckm.Manager
 }
 
 func newWorld(policy rckm.Policy) *world {
 	w := &world{eng: sim.NewEngine(), dev: gpu.NewDevice("g0")}
 	w.mgr = rckm.NewManager(w.dev, policy, rckm.DefaultConfig())
-	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
+	w.eng.SetTick(func(now sim.Time) {
 		for _, in := range w.insts {
 			in.PreTick(now)
 		}
@@ -32,7 +34,11 @@ func newWorld(policy rckm.Policy) *world {
 		for _, in := range w.insts {
 			in.PostTick(now)
 		}
-	}))
+		for _, m := range w.extra {
+			m.Issue(now)
+			m.Dev.ExecuteTick()
+		}
+	})
 	return w
 }
 
@@ -179,10 +185,7 @@ func TestPipelineStagesShareWork(t *testing.T) {
 	var stages []Stage
 	dev2 := gpu.NewDevice("g1") // second GPU with its own manager
 	mgr2 := rckm.NewManager(dev2, rckm.Exclusive{}, rckm.DefaultConfig())
-	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
-		mgr2.Issue(now)
-		dev2.ExecuteTick()
-	}))
+	w.extra = append(w.extra, mgr2)
 	st1 := w.addStage(t, "s0", true, spec.InferMemMB/2, 0.5, 1.0)
 	res2, _ := dev2.Attach("s1", spec.InferMemMB/2)
 	c2 := &rckm.Client{ID: "s1", Res: res2, SLOSensitive: true, Request: 0.5, Limit: 1.0}
@@ -237,10 +240,7 @@ func TestTrainingBarrelEffect(t *testing.T) {
 	fast := w.addStage(t, "w0", false, spec.TrainMemMB, 0.8, 0.8)
 	dev2 := gpu.NewDevice("g1")
 	mgr2 := rckm.NewManager(dev2, rckm.MPS{UseLimit: true}, rckm.DefaultConfig())
-	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
-		mgr2.Issue(now)
-		dev2.ExecuteTick()
-	}))
+	w.extra = append(w.extra, mgr2)
 	res2, _ := dev2.Attach("w1", spec.TrainMemMB)
 	c2 := &rckm.Client{ID: "w1", Res: res2, Request: 0.15, Limit: 0.15} // throttled
 	mgr2.Register(c2)

@@ -474,9 +474,6 @@ func (in *LLM) Abort() []Request {
 	return reqs
 }
 
-// Idle reports whether the instance has no queued or resident work.
-func (in *LLM) Idle() bool { return len(in.queue) == 0 && len(in.seqs) == 0 }
-
 // Busy implements Ticker.
 func (in *LLM) Busy() bool { return len(in.queue) > 0 || len(in.seqs) > 0 }
 

@@ -26,7 +26,7 @@ func newMultiWorld(n int, policy rckm.Policy) *multiWorld {
 		w.devs = append(w.devs, d)
 		w.mgrs = append(w.mgrs, rckm.NewManager(d, policy, rckm.DefaultConfig()))
 	}
-	w.eng.AddTicker(sim.TickerFunc(func(now sim.Time) {
+	w.eng.SetTick(func(now sim.Time) {
 		for _, in := range w.insts {
 			in.PreTick(now)
 		}
@@ -39,7 +39,7 @@ func newMultiWorld(n int, policy rckm.Policy) *multiWorld {
 		for _, in := range w.insts {
 			in.PostTick(now)
 		}
-	}))
+	})
 	return w
 }
 

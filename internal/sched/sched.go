@@ -591,7 +591,7 @@ func (s *Dilu) selectOptGPUActive(p *profiler.Profile, fn string) *cluster.GPU {
 // whose class can host the profile (Capacity ≥ max(req/Ω, lim/γ) and
 // the memory fits), served by the cluster's free index instead of an
 // inventory scan. On a homogeneous fleet every fresh GPU fits, so the
-// result is exactly the old FirstInactive.
+// result is the earliest schedulable inactive GPU.
 func (s *Dilu) freshGPU(p profiler.Profile) *cluster.GPU {
 	minCap := p.SMReq / s.opts.Omega
 	if lc := p.SMLim / s.opts.Gamma; lc > minCap {

@@ -3,11 +3,13 @@
 // microseconds of virtual time; wall-clock time never enters results.
 //
 // The engine combines a classic event queue (one-shot callbacks at
-// arbitrary times) with fixed-period tickers, which is the natural shape
+// arbitrary times) with one fixed-period tick, which is the natural shape
 // for Dilu: request arrivals and cold-start completions are events, while
-// the RCKM token cycle and GPU execution advance on a fixed 5 ms tick.
+// the RCKM token cycle and GPU execution advance on a fixed 5 ms tick
+// (TickPeriod). The engine holds a single tick callback (SetTick): the
+// world loop that owns every per-tick phase.
 //
-// Two properties keep the hot path cheap at scale without changing
+// Three properties keep the hot path cheap at scale without changing
 // results:
 //
 //   - The event queue is a value-based 4-ary min-heap: scheduling an
@@ -19,13 +21,12 @@
 //     fault schedule) is pulled from a Cursor one entry at a time
 //     (ScheduleSeries): the queue holds only the series' head, so memory
 //     does not grow with the series' length or horizon.
-//   - Tickers registered through AddDynamicTicker carry an activity bit.
-//     While every dynamic ticker is inactive (and no always-active ticker
-//     exists), Run fast-forwards virtual time straight to the next event
-//     instead of stepping through empty 5 ms boundaries. The tick phase
-//     is preserved — the next fired tick lands on exactly the same
-//     period lattice as if every empty tick had been stepped — so a
-//     component that deactivates only when its Tick is a no-op observes
+//   - The tick carries an on/off bit (SetTicking). While it is off, Run
+//     fast-forwards virtual time straight to the next event instead of
+//     stepping through empty 5 ms boundaries. The tick phase is
+//     preserved — the next fired tick lands on exactly the same period
+//     lattice as if every empty tick had been stepped — so a world that
+//     turns its tick off only when the tick is a no-op observes
 //     bit-identical results.
 package sim
 
@@ -180,82 +181,26 @@ func (s *series) pull(now Time) {
 	s.fn(now)
 }
 
-// Ticker is a component invoked on every fixed simulation tick, in
-// registration order. Tick receives the current virtual time.
-type Ticker interface {
-	Tick(now Time)
-}
-
-// TickerFunc adapts a plain function to the Ticker interface.
-type TickerFunc func(now Time)
-
-// Tick calls f(now).
-func (f TickerFunc) Tick(now Time) { f(now) }
-
-// tickerEntry is one registered ticker with its activity bit.
-type tickerEntry struct {
-	t       Ticker
-	active  bool
-	dynamic bool
-}
-
-// TickerHandle controls the activity of a ticker registered with
-// AddDynamicTicker. It is engine-owned and not safe for concurrent use.
-type TickerHandle struct {
-	e   *Engine
-	idx int
-}
-
-// SetActive flips the ticker's activity. An inactive ticker is not
-// invoked on ticks, and while no ticker on the engine is active, Run
-// fast-forwards across empty tick boundaries (see package comment). The
-// caller contracts that the ticker's Tick is a no-op whenever it is
-// deactivated; under that contract results are bit-identical to an
-// always-active registration.
-func (h *TickerHandle) SetActive(active bool) {
-	ent := &h.e.tickers[h.idx]
-	if ent.active == active {
-		return
-	}
-	ent.active = active
-	if active {
-		h.e.activeTickers++
-	} else {
-		h.e.activeTickers--
-	}
-}
-
-// Active reports the ticker's current activity.
-func (h *TickerHandle) Active() bool { return h.e.tickers[h.idx].active }
-
 // Engine is a single-threaded deterministic simulator. It is not safe for
 // concurrent use; experiments that need parallelism run independent engines.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	tickers []tickerEntry
-	// activeTickers counts tickers with active=true; when it is zero the
-	// Run loop fast-forwards across tick boundaries.
-	activeTickers int
-	period        Duration
+	now    Time
+	seq    uint64
+	events eventHeap
+	// tick is the one callback fired on every tick boundary while
+	// ticking is on; while it is off the Run loop fast-forwards across
+	// tick boundaries.
+	tick    func(now Time)
+	ticking bool
 	// nextTick is the time of the next pending fixed tick.
 	nextTick Time
 	// meter, when non-nil, observes virtual time advanced by Run.
 	meter *Meter
 }
 
-// NewEngine returns an engine whose fixed tick period is TickPeriod (5 ms).
-func NewEngine() *Engine { return NewEngineWithPeriod(TickPeriod) }
-
-// NewEngineWithPeriod returns an engine with a custom fixed tick period.
-// Period must be positive.
-func NewEngineWithPeriod(period Duration) *Engine {
-	if period <= 0 {
-		panic("sim: tick period must be positive")
-	}
-	return &Engine{period: period, nextTick: period}
-}
+// NewEngine returns an engine whose fixed tick period is TickPeriod
+// (5 ms). It has no tick callback until SetTick installs one.
+func NewEngine() *Engine { return &Engine{nextTick: TickPeriod} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -268,25 +213,15 @@ func (e *Engine) SetMeter(m *Meter) {
 	m.addEngine()
 }
 
-// Period returns the fixed tick period.
-func (e *Engine) Period() Duration { return e.period }
+// SetTick installs fn, which must be non-nil, as the engine's tick
+// callback, replacing any earlier one, and turns ticking on.
+func (e *Engine) SetTick(fn func(now Time)) { e.tick, e.ticking = fn, true }
 
-// AddTicker registers t to be invoked on every fixed tick. Tickers added
-// this way are always active; use AddDynamicTicker for components that
-// can deregister while idle.
-func (e *Engine) AddTicker(t Ticker) {
-	e.tickers = append(e.tickers, tickerEntry{t: t, active: true})
-	e.activeTickers++
-}
-
-// AddDynamicTicker registers t like AddTicker but returns a handle whose
-// SetActive lets the component deregister from the tick loop while it has
-// no work and re-register when work arrives. The ticker starts active.
-func (e *Engine) AddDynamicTicker(t Ticker) *TickerHandle {
-	e.tickers = append(e.tickers, tickerEntry{t: t, active: true, dynamic: true})
-	e.activeTickers++
-	return &TickerHandle{e: e, idx: len(e.tickers) - 1}
-}
+// SetTicking turns the tick callback on or off. While it is off, Run
+// fast-forwards across empty tick boundaries (see package comment). The
+// caller contracts that the callback is a no-op whenever ticking is off;
+// under that contract results are bit-identical to ticking always on.
+func (e *Engine) SetTicking(on bool) { e.ticking = on }
 
 // Schedule registers fn to run at virtual time at. Events scheduled in the
 // past run at the current time, preserving submission order.
@@ -330,7 +265,7 @@ func (e *Engine) Pending() int { return len(e.events) }
 
 // Run advances virtual time until `until`, executing every due event and
 // fixed tick in deterministic order: all events at or before a tick boundary
-// run first, then the tick fires. While no ticker is active, boundaries
+// run first, then the tick fires. While ticking is off, boundaries
 // with nothing to do are skipped wholesale (idle fast-forward): virtual
 // time jumps to the next event — or the horizon — and the tick phase is
 // realigned onto the same 5 ms lattice it would have reached by stepping.
@@ -338,8 +273,8 @@ func (e *Engine) Run(until Time) {
 	start := e.now
 	ticks := int64(0)
 	for e.now < until {
-		if e.activeTickers == 0 {
-			// No ticker can observe the skipped boundaries. Jump the
+		if !e.ticking {
+			// No tick can observe the skipped boundaries. Jump the
 			// tick lattice forward to the first boundary at or after the
 			// next event (or the horizon), preserving phase.
 			target := until
@@ -347,8 +282,8 @@ func (e *Engine) Run(until Time) {
 				target = e.events[0].at
 			}
 			if target > e.nextTick {
-				k := (target - e.nextTick + e.period - 1) / e.period
-				e.nextTick += k * e.period
+				k := (target - e.nextTick + TickPeriod - 1) / TickPeriod
+				e.nextTick += k * TickPeriod
 			}
 		}
 		boundary := e.nextTick
@@ -363,12 +298,10 @@ func (e *Engine) Run(until Time) {
 		}
 		e.now = boundary
 		if boundary == e.nextTick {
-			for i := range e.tickers {
-				if e.tickers[i].active {
-					e.tickers[i].t.Tick(e.now)
-				}
+			if e.ticking {
+				e.tick(e.now)
 			}
-			e.nextTick += e.period
+			e.nextTick += TickPeriod
 			ticks++
 		}
 	}

@@ -39,7 +39,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 func TestEngineTicksFireAtPeriod(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	e.AddTicker(TickerFunc(func(now Time) { times = append(times, now) }))
+	e.SetTick(func(now Time) { times = append(times, now) })
 	e.Run(20 * Millisecond)
 	if len(times) != 4 {
 		t.Fatalf("got %d ticks, want 4 (at 5,10,15,20ms): %v", len(times), times)
@@ -56,11 +56,11 @@ func TestEngineEventsBeforeTickBoundary(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Schedule(5*Millisecond, func(Time) { order = append(order, "event") })
-	e.AddTicker(TickerFunc(func(now Time) {
+	e.SetTick(func(now Time) {
 		if now == 5*Millisecond {
 			order = append(order, "tick")
 		}
-	}))
+	})
 	e.Run(5 * Millisecond)
 	if len(order) != 2 || order[0] != "event" || order[1] != "tick" {
 		t.Fatalf("order = %v, want [event tick]", order)
@@ -93,16 +93,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	e.Run(Second)
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
-	}
-}
-
-func TestEngineCustomPeriod(t *testing.T) {
-	e := NewEngineWithPeriod(Second)
-	ticks := 0
-	e.AddTicker(TickerFunc(func(Time) { ticks++ }))
-	e.Run(10 * Second)
-	if ticks != 10 {
-		t.Fatalf("ticks = %d, want 10", ticks)
 	}
 }
 
@@ -255,7 +245,7 @@ func TestMeterObservesRun(t *testing.T) {
 	e := NewEngine()
 	e.SetMeter(&m)
 	ticks := 0
-	e.AddTicker(TickerFunc(func(Time) { ticks++ }))
+	e.SetTick(func(Time) { ticks++ })
 	e.Run(1 * Second)
 	if got := m.Virtual(); got != 1*Second {
 		t.Fatalf("virtual = %v, want 1s", got)

@@ -6,21 +6,21 @@ import (
 
 // TestIdleFastForwardTickPhase verifies that fast-forwarding across an
 // idle stretch lands subsequent ticks on exactly the same 5 ms lattice
-// as stepping every boundary would: a ticker activated by an off-lattice
-// event sees its first tick at the next lattice point, not at the event
-// time or a shifted phase.
+// as stepping every boundary would: a tick turned on by an off-lattice
+// event first fires at the next lattice point, not at the event time or
+// a shifted phase.
 func TestIdleFastForwardTickPhase(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	h := e.AddDynamicTicker(TickerFunc(func(now Time) { ticks = append(ticks, now) }))
-	h.SetActive(false)
+	e.SetTick(func(now Time) { ticks = append(ticks, now) })
+	e.SetTicking(false)
 	// Off-lattice activation: 12.5 ms sits between the 10 and 15 ms
 	// boundaries.
 	e.Schedule(12*Millisecond+500*Microsecond, func(now Time) {
 		if now != 12*Millisecond+500*Microsecond {
 			t.Fatalf("event fired at %v", now)
 		}
-		h.SetActive(true)
+		e.SetTicking(true)
 	})
 	e.Run(30 * Millisecond)
 	want := []Time{15 * Millisecond, 20 * Millisecond, 25 * Millisecond, 30 * Millisecond}
@@ -37,20 +37,20 @@ func TestIdleFastForwardTickPhase(t *testing.T) {
 	}
 }
 
-// TestIdleFastForwardOnLatticeActivation checks the boundary case: an
-// activation event scheduled exactly on a lattice point runs before the
+// TestIdleFastForwardOnLatticeActivation checks the boundary case: a
+// turn-on event scheduled exactly on a lattice point runs before the
 // tick at that point, and the tick then fires — the same order stepping
 // produces.
 func TestIdleFastForwardOnLatticeActivation(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	h := e.AddDynamicTicker(TickerFunc(func(now Time) {
+	e.SetTick(func(now Time) {
 		order = append(order, "tick@"+now.String())
-	}))
-	h.SetActive(false)
+	})
+	e.SetTicking(false)
 	e.Schedule(20*Millisecond, func(Time) {
 		order = append(order, "event")
-		h.SetActive(true)
+		e.SetTicking(true)
 	})
 	e.Run(25 * Millisecond)
 	want := []string{"event", "tick@0.020s", "tick@0.025s"}
@@ -65,8 +65,8 @@ func TestIdleFastForwardOnLatticeActivation(t *testing.T) {
 }
 
 // TestIdleFastForwardMatchesStepping runs the same event script on two
-// engines — one whose ticker deactivates during idle stretches (enabling
-// fast-forward), one always active whose Tick is a no-op while "idle" —
+// engines — one whose tick turns off during idle stretches (enabling
+// fast-forward), one always ticking whose tick is a no-op while "idle" —
 // and requires identical final state and identical tick times during
 // busy phases.
 func TestIdleFastForwardMatchesStepping(t *testing.T) {
@@ -75,39 +75,31 @@ func TestIdleFastForwardMatchesStepping(t *testing.T) {
 		busy  bool
 		ticks []Time
 	}
-	script := func(w *world, h *TickerHandle) {
-		// Busy 0-20ms, idle until 112.5ms, busy again until 130ms.
-		w.busy = true
-		w.eng.Schedule(20*Millisecond, func(Time) {
-			w.busy = false
-			if h != nil {
-				h.SetActive(false)
-			}
-		})
-		w.eng.Schedule(112*Millisecond+500*Microsecond, func(Time) {
-			w.busy = true
-			if h != nil {
-				h.SetActive(true)
-			}
-		})
-	}
-	tick := func(w *world) Ticker {
-		return TickerFunc(func(now Time) {
+	run := func(fastForward bool) *world {
+		w := &world{eng: NewEngine()}
+		w.eng.SetTick(func(now Time) {
 			if w.busy {
 				w.ticks = append(w.ticks, now)
 			}
 		})
+		// Busy 0-20ms, idle until 112.5ms, busy again until 130ms.
+		w.busy = true
+		w.eng.Schedule(20*Millisecond, func(Time) {
+			w.busy = false
+			if fastForward {
+				w.eng.SetTicking(false)
+			}
+		})
+		w.eng.Schedule(112*Millisecond+500*Microsecond, func(Time) {
+			w.busy = true
+			if fastForward {
+				w.eng.SetTicking(true)
+			}
+		})
+		w.eng.Run(130 * Millisecond)
+		return w
 	}
-
-	ff := &world{eng: NewEngine()}
-	hff := ff.eng.AddDynamicTicker(tick(ff))
-	script(ff, hff)
-	ff.eng.Run(130 * Millisecond)
-
-	ref := &world{eng: NewEngine()}
-	ref.eng.AddTicker(tick(ref))
-	script(ref, nil)
-	ref.eng.Run(130 * Millisecond)
+	ff, ref := run(true), run(false)
 
 	if ff.eng.Now() != ref.eng.Now() {
 		t.Fatalf("now: ff=%v ref=%v", ff.eng.Now(), ref.eng.Now())
@@ -122,13 +114,12 @@ func TestIdleFastForwardMatchesStepping(t *testing.T) {
 	}
 }
 
-// TestIdleFastForwardEmptyEngine checks that a tickerless engine jumps
-// straight to the horizon (and an engine whose only ticker is inactive
-// does the same) while events still fire at their times.
+// TestIdleFastForwardEmptyEngine checks that an engine whose tick is off
+// jumps straight to the horizon while events still fire at their times.
 func TestIdleFastForwardEmptyEngine(t *testing.T) {
 	e := NewEngine()
-	h := e.AddDynamicTicker(TickerFunc(func(Time) { t.Fatal("inactive ticker fired") }))
-	h.SetActive(false)
+	e.SetTick(func(Time) { t.Fatal("tick fired while off") })
+	e.SetTicking(false)
 	fired := Time(-1)
 	e.Schedule(3*Hour+7*Millisecond, func(now Time) { fired = now })
 	e.Run(12 * Hour)
@@ -140,12 +131,12 @@ func TestIdleFastForwardEmptyEngine(t *testing.T) {
 	}
 }
 
-// TestStepWithInactiveTickers keeps Step's one-boundary contract under
-// dynamic tickers.
+// TestStepWithInactiveTickers keeps Step's one-boundary contract while
+// the tick is off.
 func TestStepWithInactiveTickers(t *testing.T) {
 	e := NewEngine()
-	h := e.AddDynamicTicker(TickerFunc(func(Time) {}))
-	h.SetActive(false)
+	e.SetTick(func(Time) {})
+	e.SetTicking(false)
 	if got := e.Step(); got != TickPeriod {
 		t.Fatalf("Step = %v, want %v", got, TickPeriod)
 	}

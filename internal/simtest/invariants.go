@@ -20,6 +20,7 @@ import (
 	"dilu/internal/core"
 	"dilu/internal/gpu"
 	"dilu/internal/instance"
+	"dilu/internal/rckm"
 	"dilu/internal/sim"
 )
 
@@ -437,9 +438,13 @@ func MonotoneTime() core.Invariant {
 //     sweeps);
 //   - the set's list and index agree on membership size;
 //   - a manager is in the manager set exactly while it has registered
-//     clients, and a device is in the execution set exactly while it has
-//     residents — attach/detach maintain both directions immediately.
+//     clients (attach/detach maintain both directions immediately), and
+//     the set lists no manager twice;
+//   - each device holds exactly as many residents as its manager has
+//     clients, the pairing that lets the manager set double as the
+//     execution phase's device set.
 func ActiveSetConsistency() core.Invariant {
+	inSet := make(map[*rckm.Manager]bool) // reused: cleared each check
 	return core.Invariant{
 		Name: "active-set-consistency",
 		Check: func(sys *core.System, now sim.Time) error {
@@ -463,19 +468,27 @@ func ActiveSetConsistency() core.Invariant {
 					return fmt.Errorf("busy training job %s missing from active set", tj.Name)
 				}
 			}
+			clear(inSet)
+			for _, m := range sys.ActiveManagers() {
+				inSet[m] = true
+			}
+			if len(inSet) != len(sys.ActiveManagers()) {
+				return fmt.Errorf("manager active set lists %d entries but %d managers",
+					len(sys.ActiveManagers()), len(inSet))
+			}
 			for _, g := range sys.Clu.GPUs() {
 				m := sys.Manager(g)
-				if m != nil {
-					if hasClients := len(m.Clients()) > 0; hasClients != sys.ManagerInActiveSet(m) {
-						return fmt.Errorf("%s: manager active-set membership %v but %d clients",
-							g.ID, sys.ManagerInActiveSet(m), len(m.Clients()))
-					}
+				if m == nil {
+					continue
 				}
-				if g.Dev != nil {
-					if hasRes := g.Dev.ResidentCount() > 0; hasRes != sys.DeviceInActiveSet(g.Dev) {
-						return fmt.Errorf("%s: device active-set membership %v but %d residents",
-							g.ID, sys.DeviceInActiveSet(g.Dev), g.Dev.ResidentCount())
-					}
+				clients := len(m.Clients())
+				if (clients > 0) != inSet[m] {
+					return fmt.Errorf("%s: manager active-set membership %v but %d clients",
+						g.ID, inSet[m], clients)
+				}
+				if res := m.Dev.ResidentCount(); res != clients {
+					return fmt.Errorf("%s: device has %d residents but its manager %d clients",
+						g.ID, res, clients)
 				}
 			}
 			return nil

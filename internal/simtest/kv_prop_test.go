@@ -56,7 +56,11 @@ func runKVChurn(t *testing.T, seed int64) {
 	// interleaving, not just the ones the workload generators produce.
 	rng := rand.New(rand.NewSource(seed))
 	failed := [2]bool{}
-	sys.OnTick(func(now sim.Time) {
+	// The schedule acts after each 5 ms segment, on the state that
+	// segment's tick left.
+	for sys.Eng.Now() < 30*sim.Second {
+		sys.Run(sim.TickPeriod)
+		now := sys.Eng.Now()
 		// Bursty submits: enough concurrent long decodes to exhaust the
 		// 1 GB KV headroom and force preemptions and refusals.
 		for i := rng.Intn(3); i > 0; i-- {
@@ -79,8 +83,7 @@ func runKVChurn(t *testing.T, seed int64) {
 			}
 			failed[n] = !failed[n]
 		}
-	})
-	sys.Run(30 * sim.Second)
+	}
 
 	// The invariant ran every tick; one last explicit audit at the end
 	// state, then assert the schedule was adversarial enough to mean
